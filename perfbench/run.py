@@ -1,6 +1,6 @@
 """Benchmark of the four abeluniv CLI workflows, end to end and per layer.
 
-    python3 perfbench/run.py --workload membership-d8 --seed 0 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload membership-d8 --seed 0 --seconds 30 --trace 0
 
 Run it from the root of a checkout; it uses the package under `src/`.
 Each run starts fresh workload processes (worker.py) and drives each one
@@ -11,8 +11,9 @@ reports the end-to-end metrics: median wall and CPU seconds per op, the
 median set-up time of the three processes, and the measuring process's
 peak resident memory.
 
---trace 1 runs the workload traced twice, at the default BLAS thread
-count and in a child with OPENBLAS_NUM_THREADS=1, and reports the
+--trace 1 runs the workload twice, at the default BLAS thread count and
+in a child with OPENBLAS_NUM_THREADS=1, each time untraced for half of
+--seconds and traced for the other half, and reports the
 per-layer metrics of both (the second set prefixed `blas1.`), plus
 `blas1.same_work`: 1 when the single-thread run built the same stage
 degrees, failed at the same stage and took the same lift samples.
@@ -155,7 +156,7 @@ def main(argv=None) -> int:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=10.0)
+    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
     p.add_argument("--record", default=None, help="JSON file to merge the full result into")
     args = p.parse_args(argv)

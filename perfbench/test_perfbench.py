@@ -198,6 +198,23 @@ def test_identical_argv_must_give_identical_payloads(tmp_path):
         "payload differs from an earlier op with identical argv"]
 
 
+@pytest.mark.parametrize("workload,op_s,seconds,ops", [
+    ("lift-sqrt", 7.0, 30.0, 4),       # 28 s lies nearer 30 than 35 s
+    ("lift-sqrt", 27.0, 30.0, 1),      # at least one op
+    ("probe-scan", 0.25, 30.0, 120),   # whole blocks of ten
+])
+def test_loop_ends_on_the_edge_nearest_the_window(monkeypatch, workload, op_s, seconds, ops):
+    clock = [0.0]
+    monkeypatch.setattr(worker.time, "monotonic", lambda: clock[0])
+    runner = worker.Runner(cli, workloads.Inputs(workload, 0), None, None, None)
+
+    def op(tracer):
+        clock[0] += op_s
+        return {}
+    monkeypatch.setattr(runner, "op", op)
+    assert len(runner.loop(seconds)) == ops
+
+
 # every counter is live on the workload the README's per-layer table maps it to
 
 LIVE = {

@@ -6,9 +6,9 @@ Started by run.py, never by hand:
     python3 perfbench/worker.py --workload W --seed N --seconds S \
         --mode {setup,run,trace} --spawned-at T --tmp DIR --result FILE
 
-`setup` stops after set-up; `run` times untraced ops; `trace` times
-untraced ops, then the same number of seconds of traced ops, and derives
-the per-layer metrics from the spans. Ops write under a temporary
+`setup` stops after set-up; `run` times untraced ops for S seconds;
+`trace` times untraced ops for S/2 seconds, then traced ops for S/2, and
+derives the per-layer metrics from the spans. Ops write under a temporary
 directory that is removed at exit.
 """
 
@@ -96,12 +96,18 @@ class Runner:
         return self.outs[key]
 
     def loop(self, seconds: float, tracer=None) -> list:
-        """Ops for `seconds`, at least one block, ending on a block edge."""
+        """Ops for about `seconds`: at least one block, ending on the block
+        edge nearest the end of the window at the pace so far."""
+        block = self.inputs.block
         ops = []
         t0 = time.monotonic()
-        while not ops or len(ops) % self.inputs.block or time.monotonic() - t0 < seconds:
+        while True:
             ops.append(self.op(tracer))
-        return ops
+            if len(ops) % block:
+                continue
+            elapsed = time.monotonic() - t0
+            if elapsed + 0.5 * block * elapsed / len(ops) > seconds:
+                return ops
 
     def op(self, tracer) -> dict:
         i = self.next_op
@@ -223,14 +229,15 @@ def main(argv=None) -> int:
         if args.mode == "setup":
             return _write(args.result, result)
 
-        untraced = runner.loop(args.seconds)
+        window = args.seconds / 2 if args.mode == "trace" else args.seconds
+        untraced = runner.loop(window)
         result["untraced"] = summarize(untraced, inputs.block)
         result["work"] = result.get("work") or untraced[0]["work"]
         if args.mode == "trace":
             tr = tracer.Tracer()
             tracer.install(tr)
             try:
-                traced = runner.loop(args.seconds, tr)
+                traced = runner.loop(window, tr)
             finally:
                 tracer.uninstall()
             result["traced"] = summarize(traced, inputs.block)
