@@ -12,13 +12,12 @@ from .errors import (BasisBreakdown, CertificateFailure, ConfigError,
                      ParameterDiscTooLarge, ToleranceUnreachable,
                      UnderdeterminedFit, WitnessCriterionError)
 from .geometry import (CollinearLine, DiscAutomorphism, EuclideanCircle,
-                       OriginShiftDilation, UnitCircleArc, apply_automorphism,
-                       build_F_compactum, circle_through_three,
-                       fixed_point_radius, image_circle, is_origin_shift_circle,
-                       mobius_shift, modulus_identity_residual,
-                       radial_monotone_threshold, rotation, solve_level_radius)
+                       UnitCircleArc, apply_automorphism, build_F_compactum,
+                       circle_through_three, fixed_point_radius, image_circle,
+                       is_origin_shift_circle, mobius_shift,
+                       modulus_identity_residual, radial_monotone_threshold,
+                       rotation, solve_level_radius)
 from .compacta import (CompoundCompactum, OverlapWarning, SampledComponent,
-                       compactum_from_json, compactum_to_json,
                        sample_dilated_arc, sample_disc_constraint,
                        sample_radial_curve, sup_distance, union)
 from .polyfit import (ComplexPolynomial, FitReport, accumulate, derivative,

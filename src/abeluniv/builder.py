@@ -3,7 +3,9 @@
 A build runs stage by stage: stage n fits a polynomial P_n that is small on
 the closed disc of radius r_{n-1} (sampled on its boundary circle) while
 F_n = P_1 + ... + P_n matches the scheduled target on the stage's dilated
-arc, to tolerance tol_factor * eps_n. Because eps_n is summable, the
+arc, F_n(r_n zeta) ~ phi(zeta) for zeta on the arc (the target is read at
+the boundary point, as in the Abel definition f(r zeta) -> phi(zeta)), to
+tolerance tol_factor * eps_n. Because eps_n is summable, the
 partial sums converge locally uniformly and every scheduled (target, arc)
 pair keeps its telescoped error bound at the end.
 
@@ -133,7 +135,6 @@ class BuildConfig:
     disc_density: int = 512
     curve_density: int = 512
     max_degree: int = 512
-    reweight_rounds: int = 8
 
 
 @dataclass
@@ -373,13 +374,7 @@ def _curve_component(phi: DiscAutomorphism, zeta: complex, which: int,
     keep = np.abs(pts) >= trim_below
     if not np.any(keep):
         return None
-    return SampledComponent(
-        "RadialCurve", pts[keep], tgt[keep], 1.0,
-        {"a": [phi.a.real, phi.a.imag], "theta": phi.theta,
-         "zeta": [complex(zeta).real, complex(zeta).imag],
-         "p_from": p_from, "p_to": p_to, "density": density,
-         "window": list(window) if window else None, "custom": True,
-         "which": which})
+    return SampledComponent("RadialCurve", pts[keep], tgt[keep], 1.0, which)
 
 
 def _membership_stage_compactum(cfg: BuildConfig, n: int, f_prev: ComplexPolynomial,
@@ -389,23 +384,14 @@ def _membership_stage_compactum(cfg: BuildConfig, n: int, f_prev: ComplexPolynom
     arc = cfg.enumeration.arcs[cfg.enumeration.beta[n - 1]]
     disc = compacta.sample_disc_constraint(r[n - 1], cfg.disc_density, center=w)
     arc_comp = compacta.sample_dilated_arc(arc, r[n], cfg.arc_density, center=w)
-    if w == 0:
-        want = evaluate(phi_t, arc_comp.points)
-    else:
-        # the shifted classes evaluate the target at the arc parameter, not
-        # at the dilated point
-        t = np.linspace(arc.alpha, arc.beta, cfg.arc_density)
-        want = evaluate(phi_t, np.exp(1j * t))
+    # the target is read at the boundary point zeta, not at the dilated point
+    want = evaluate(phi_t, arc.sample(cfg.arc_density))
     arc_comp = arc_comp.with_target(want - evaluate(f_prev, arc_comp.points))
     return disc, arc_comp
 
 
-def _fit_stage(cc, tol, cfg) -> Tuple[ComplexPolynomial, FitReport]:
-    return fit_until(cc, tol, cfg.max_degree, cfg.reweight_rounds)
-
-
 def _component_sups(cc, poly) -> dict:
-    return {c.kind + (f"#{c.params.get('which')}" if c.kind == "RadialCurve" else ""):
+    return {c.kind + (f"#{c.which}" if c.kind == "RadialCurve" else ""):
             sup_distance(c, lambda z: evaluate(poly, z))
             for c in cc.components}
 
@@ -430,7 +416,7 @@ def _run_stages(series: UniversalSeries, cfg: BuildConfig, N: int,
         cc, case_label, info = built
         tol = tol_factor * eps[n]
         try:
-            poly, rep = _fit_stage(cc, tol, cfg)
+            poly, rep = fit_until(cc, tol, cfg.max_degree)
         except ToleranceUnreachable as exc:
             series.failure = StageFailure(
                 n, "tolerance-unreachable",
@@ -451,17 +437,19 @@ def _run_stages(series: UniversalSeries, cfg: BuildConfig, N: int,
         series.stages.append(StageRecord(n, case_label, poly, rep, info))
 
 
+def _membership_maker(cfg: BuildConfig, w: complex = 0j):
+    def make(n, f_prev):
+        return compacta.union(*_membership_stage_compactum(cfg, n, f_prev, w)), "I", {}
+    return make
+
+
 def build_membership_series(cfg: BuildConfig, N: int, tol_factor: float = 0.5
                             ) -> UniversalSeries:
     """Stage n: fit P_n with target 0 on C(0, r_{n-1}) and target
-    phi_alpha(n) - F_{n-1} on the dilated arc r_n K_beta(n)."""
+    phi_alpha(n)(zeta) - F_{n-1}(r_n zeta) at the points r_n zeta of the
+    dilated arc r_n K_beta(n), so that F_n(r_n zeta) ~ phi_alpha(n)(zeta)."""
     series = UniversalSeries("membership", cfg, N)
-
-    def make(n, f_prev):
-        disc, arc_comp = _membership_stage_compactum(cfg, n, f_prev)
-        return compacta.union(disc, arc_comp), "I", {}
-
-    _run_stages(series, cfg, N, tol_factor, make)
+    _run_stages(series, cfg, N, tol_factor, _membership_maker(cfg))
     return series
 
 
@@ -473,12 +461,7 @@ def build_shifted_membership_series(w: complex, cfg: BuildConfig, N: int,
     if abs(w) >= 1:
         raise ConfigError("need |w| < 1")
     series = UniversalSeries("shifted", cfg, N, extras={"w": complex(w)})
-
-    def make(n, f_prev):
-        disc, arc_comp = _membership_stage_compactum(cfg, n, f_prev, w=complex(w))
-        return compacta.union(disc, arc_comp), "I", {}
-
-    _run_stages(series, cfg, N, tol_factor, make)
+    _run_stages(series, cfg, N, tol_factor, _membership_maker(cfg, complex(w)))
     return series
 
 
@@ -512,6 +495,12 @@ def _case3_eta(phi, witness, n, r_n, margin=1e-4, max_halvings=60) -> Optional[f
     return None
 
 
+def _pin_value(phi_t, f_prev, z_pin: complex) -> complex:
+    """Curve target at a pin, where the curve meets the stage arc: the arc's
+    own target, phi read at the boundary point z_pin/|z_pin|, less F_{n-1}."""
+    return evaluate(phi_t, z_pin / abs(z_pin)) - evaluate(f_prev, z_pin)
+
+
 def build_counterexample_series(cfg: BuildConfig, phi: DiscAutomorphism,
                                 witness: CounterexampleWitness, N: int,
                                 tol_factor: float = 0.5
@@ -542,8 +531,7 @@ def build_counterexample_series(cfg: BuildConfig, phi: DiscAutomorphism,
         lo = max(witness.s(i, n - 1), pin - gap3)
         hi = min(witness.s(i, n), pin + gap3)
         z_pin = apply_automorphism(phi, pin * zetas[i - 1])
-        v = evaluate(phi_t, z_pin) - evaluate(f_prev, z_pin)
-        return (lo, pin, hi), v, z_pin
+        return (lo, pin, hi), _pin_value(phi_t, f_prev, z_pin), z_pin
 
     def make(n, f_prev):
         phi_t = cfg.enumeration.targets[cfg.enumeration.alpha[n - 1]]
@@ -574,7 +562,7 @@ def build_counterexample_series(cfg: BuildConfig, phi: DiscAutomorphism,
                 pin = witness.R(i, n)
                 z_pin = apply_automorphism(phi, pin * zetas[i - 1])
                 windows[i - 1] = (pin - eta, pin, pin + eta)
-                pin_vals[i - 1] = evaluate(phi_t, z_pin) - evaluate(f_prev, z_pin)
+                pin_vals[i - 1] = _pin_value(phi_t, f_prev, z_pin)
                 info["pins"].append([z_pin.real, z_pin.imag])
             # the first-crossing curve is restricted to start at its
             # previous half level, which keeps the complement connected
@@ -618,22 +606,21 @@ def min_modulus_sweep(series: UniversalSeries, phi: DiscAutomorphism,
 
 
 def telescoping_errors(series: UniversalSeries) -> List[dict]:
-    """For each built stage n: the grid sup of |F_N - phi_alpha(n)| on the
-    stage arc against the bound eps_n + sum of later tolerances."""
+    """For each built stage n: the grid sup over the stage arc's fit points
+    of |F_N(r_n zeta) - phi_alpha(n)(zeta)| against the bound eps_n + sum of
+    later tolerances."""
     cfg = series.config
     F = series.total()
     eps = cfg.eps.eps
     built = len(series.stages)
+    w = series.extras.get("w", 0j)
     rows = []
     for rec in series.stages:
         n = rec.n
         arc = cfg.enumeration.arcs[rec.info["beta"]]
         phi_t = cfg.enumeration.targets[rec.info["alpha"]]
-        w = series.extras.get("w", 0j)
-        t = np.linspace(arc.alpha, arc.beta, cfg.arc_density)
-        zeta = np.exp(1j * t)
-        pts = w + cfg.rho.r[n] * (zeta - w)
-        want = evaluate(phi_t, zeta if w != 0 else pts)
+        pts = compacta.sample_dilated_arc(arc, cfg.rho.r[n], cfg.arc_density, w).points
+        want = evaluate(phi_t, arc.sample(cfg.arc_density))
         sup = float(np.max(np.abs(evaluate(F, pts) - want)))
         bound = eps[n] + sum(eps[n + 1:built + 1])
         rows.append({"n": n, "sup": sup, "bound": bound,
@@ -736,8 +723,7 @@ def shifted_stage_chain(poly: ComplexPolynomial, w_center: complex, tau: complex
     Probed on the dilated arc when one is given (the set the stage fit
     actually constrains); the full circle otherwise."""
     if arc is not None:
-        th = np.linspace(arc.alpha, arc.beta, circle_density)
-        z = np.exp(1j * th)
+        z = arc.sample(circle_density)
     else:
         z = np.exp(2j * math.pi * np.arange(circle_density) / circle_density)
     moved = mobius_shift(tau, r_k * z)

@@ -311,9 +311,9 @@ def cmd_probe(args) -> int:
             raise ConfigError("series has no built stages to scan")
         grid_parts = []
         for arc in cfg.enumeration.arcs:
-            t = np.linspace(arc.alpha, arc.beta, args.density)
+            zeta = arc.sample(args.density)
             for n in range(1, built + 1):
-                grid_parts.append(cfg.rho.r[n] * np.exp(1j * t))
+                grid_parts.append(cfg.rho.r[n] * zeta)
         grid = np.concatenate(grid_parts)
         expr = _compose_for_probe(series, args, grid)
         report = probe.universality_scan(expr, list(cfg.enumeration.targets),

@@ -4,16 +4,14 @@ and labeled unions of them.
 A SampledComponent is a point grid inside the open unit disc with an
 optional complex target per point and a fit weight. CompoundCompactum
 bundles components and records the true minimum pairwise distance between
-them, recomputed on construction. Grid suprema certify grid suprema only;
-every report carries densities so refinement studies are reproducible.
+them, recomputed on construction. Grid suprema certify grid suprema only.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,7 +33,7 @@ class SampledComponent:
     points: np.ndarray
     target: Optional[np.ndarray] = None
     weight: float = 1.0
-    params: dict = field(default_factory=dict)
+    which: Optional[int] = None   # witness curve index, for RadialCurve
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -58,20 +56,13 @@ class SampledComponent:
 
     def with_target(self, values) -> "SampledComponent":
         return SampledComponent(self.kind, self.points.copy(), np.asarray(values, dtype=complex),
-                                self.weight, dict(self.params))
+                                self.weight, self.which)
 
 
 @dataclass
 class CompoundCompactum:
     components: list
     separation: float = math.inf
-
-    def max_modulus(self) -> float:
-        return max(float(np.max(np.abs(c.points))) for c in self.components)
-
-    @property
-    def total_samples(self) -> int:
-        return sum(len(c.points) for c in self.components)
 
 
 def _min_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -105,12 +96,7 @@ def sample_dilated_arc(arc: UnitCircleArc, r: float, density: int,
         raise ConfigError(f"need 0 < r < 1, got {r}")
     if density < 2:
         raise ConfigError("density must be >= 2")
-    t = np.linspace(arc.alpha, arc.beta, density)
-    pts = center + r * (np.exp(1j * t) - center)
-    return SampledComponent("DilatedArc", pts, None, 1.0,
-                            {"alpha": arc.alpha, "beta": arc.beta, "r": r,
-                             "density": density,
-                             "center": [complex(center).real, complex(center).imag]})
+    return SampledComponent("DilatedArc", center + r * (arc.sample(density) - center))
 
 
 def sample_disc_constraint(r: float, density: int, center: complex = 0j) -> SampledComponent:
@@ -123,9 +109,7 @@ def sample_disc_constraint(r: float, density: int, center: complex = 0j) -> Samp
         raise ConfigError("density must be >= 2")
     t = 2.0 * math.pi * np.arange(density) / density
     pts = center + r * (np.exp(1j * t) - center)
-    return SampledComponent("DiscBoundary", pts, np.zeros(density, dtype=complex), 1.0,
-                            {"r": r, "density": density,
-                             "center": [complex(center).real, complex(center).imag]})
+    return SampledComponent("DiscBoundary", pts, np.zeros(density, dtype=complex))
 
 
 def sample_radial_curve(phi: DiscAutomorphism, zeta: complex, r_from: float,
@@ -137,10 +121,7 @@ def sample_radial_curve(phi: DiscAutomorphism, zeta: complex, r_from: float,
         raise ConfigError("density must be >= 2")
     params = np.linspace(r_from, r_to, density)
     pts = apply_automorphism(phi, params * zeta)
-    return SampledComponent("RadialCurve", pts, None, 1.0,
-                            {"a": [phi.a.real, phi.a.imag], "theta": phi.theta,
-                             "zeta": [complex(zeta).real, complex(zeta).imag],
-                             "r_from": r_from, "r_to": r_to, "density": density})
+    return SampledComponent("RadialCurve", pts)
 
 
 def sup_distance(component: SampledComponent, f) -> float:
@@ -155,65 +136,3 @@ def sup_distance(component: SampledComponent, f) -> float:
     except TypeError:
         vals = np.array([f(p) for p in pts], dtype=complex)
     return float(np.max(np.abs(vals - component.target)))
-
-
-# serialization: points are omitted when the uniform-grid params regenerate
-# them exactly; explicit targets and ParamUnion points are always stored
-
-_REGENERABLE = {"DilatedArc", "DiscBoundary", "RadialCurve"}
-
-
-def _c2pair(z: complex):
-    return [z.real, z.imag]
-
-
-def _pairs(arr: np.ndarray):
-    return [[z.real, z.imag] for z in arr]
-
-
-def _from_pairs(pairs):
-    return np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
-
-
-def component_to_dict(c: SampledComponent) -> dict:
-    d = {"kind": c.kind, "params": c.params, "weight": c.weight}
-    if not (c.kind in _REGENERABLE and not c.params.get("custom")):
-        d["points"] = _pairs(c.points)
-    if c.target is not None:
-        d["target"] = _pairs(c.target)
-    return d
-
-
-def component_from_dict(d: dict) -> SampledComponent:
-    kind = d["kind"]
-    params = d.get("params", {})
-    if "points" in d:
-        pts = _from_pairs(d["points"])
-    elif kind == "DilatedArc":
-        arc = UnitCircleArc(params["alpha"], params["beta"])
-        pts = sample_dilated_arc(arc, params["r"], params["density"],
-                                 complex(*params.get("center", [0, 0]))).points
-    elif kind == "DiscBoundary":
-        pts = sample_disc_constraint(params["r"], params["density"],
-                                     complex(*params.get("center", [0, 0]))).points
-    elif kind == "RadialCurve":
-        phi = DiscAutomorphism(complex(*params["a"]), params["theta"])
-        pts = sample_radial_curve(phi, complex(*params["zeta"]), params["r_from"],
-                                  params["r_to"], params["density"]).points
-    else:
-        raise ConfigError(f"cannot regenerate points for kind {kind!r}")
-    tgt = _from_pairs(d["target"]) if "target" in d else None
-    return SampledComponent(kind, pts, tgt, d.get("weight", 1.0), params)
-
-
-def compactum_to_json(cc: CompoundCompactum) -> str:
-    doc = {"components": [component_to_dict(c) for c in cc.components]}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def compactum_from_json(text: str) -> CompoundCompactum:
-    doc = json.loads(text)
-    comps = [component_from_dict(d) for d in doc["components"]]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OverlapWarning)
-        return union(*comps)

@@ -73,6 +73,10 @@ class UnitCircleArc:
     def width(self) -> float:
         return self.beta - self.alpha
 
+    def sample(self, density: int) -> np.ndarray:
+        """density equally spaced boundary points exp(i t), endpoints included."""
+        return np.exp(1j * np.linspace(self.alpha, self.beta, density))
+
 
 @dataclass(frozen=True)
 class EuclideanCircle:
@@ -93,24 +97,6 @@ class CollinearLine:
 
     point: complex
     direction: complex
-
-
-@dataclass(frozen=True)
-class OriginShiftDilation:
-    """zeta -> w + r (zeta - w), the dilation toward w instead of 0."""
-
-    w: complex
-
-    def __post_init__(self):
-        w = complex(self.w)
-        _require_finite(w, "w")
-        if abs(w) >= 1:
-            raise ConfigError(f"shift center needs |w| < 1, got |w|={abs(w)}")
-        object.__setattr__(self, "w", w)
-
-    def apply(self, r: float, zeta):
-        return self.w + r * (np.asarray(zeta) - self.w) if isinstance(zeta, np.ndarray) \
-            else self.w + r * (zeta - self.w)
 
 
 def apply_automorphism(phi: DiscAutomorphism, z):
@@ -298,16 +284,10 @@ def build_F_compactum(w_center: complex, delta: float, r_k: float,
                 seen.add(key)
                 taus.append(tau)
 
-    t = np.linspace(arc.alpha, arc.beta, arc_density)
-    base = r_k * np.exp(1j * t)
+    base = r_k * arc.sample(arc_density)
     chunks = [mobius_shift(tau, base) for tau in taus]
     points = np.concatenate(chunks)
     if np.max(np.abs(points)) >= 1.0 - 1e-9:
         raise EscapesDisc("sampled union reaches the unit circle")
 
-    comp = compacta.SampledComponent(
-        kind="ParamUnion", points=points, target=None, weight=1.0,
-        params={"w_center": [w_center.real, w_center.imag], "delta": delta,
-                "r_k": r_k, "arc": [arc.alpha, arc.beta],
-                "param_density": param_density, "arc_density": arc_density})
-    return compacta.union(comp)
+    return compacta.union(compacta.SampledComponent("ParamUnion", points))

@@ -227,8 +227,8 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, reweight_rounds: int = 8
     return poly, FitReport(degree, sup, rms, growth, 0, basis_sup)
 
 
-def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512,
-              reweight_rounds: int = 8) -> Tuple[ComplexPolynomial, FitReport]:
+def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
+              ) -> Tuple[ComplexPolynomial, FitReport]:
     """Escalate degree (doubling from 8) until a fit meets tol or the budget
     runs out; the budget case raises with the best attempt and the full
     (degree, sup) plateau history of the rungs attached.
@@ -263,7 +263,7 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512,
     noisy = None
     for i, deg in enumerate(ladder):
         try:
-            poly, rep = fit_polynomial(cc, deg, reweight_rounds)
+            poly, rep = fit_polynomial(cc, deg)
         except BasisBreakdown:
             history.append((deg, math.inf))
             continue
@@ -283,7 +283,7 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512,
         while lo < hi:
             mid = (lo + hi) // 2
             try:
-                p_mid, r_mid = fit_polynomial(cc, mid, reweight_rounds)
+                p_mid, r_mid = fit_polynomial(cc, mid)
             except BasisBreakdown:
                 r_mid = None
             if r_mid is not None and r_mid.sup_error <= tol:

@@ -191,8 +191,7 @@ def dilate_distance(f, arc: UnitCircleArc, target, r: float,
     if density < 2:
         raise ConfigError("need at least two sample points")
     expr = as_expr(f)
-    t = np.linspace(arc.alpha, arc.beta, density)
-    zeta = np.exp(1j * t)
+    zeta = arc.sample(density)
     fv = expr(r * zeta)
     tv = _target_values(target, zeta)
     return float(np.max(np.abs(fv - tv)))

@@ -411,9 +411,9 @@ def test_series_dict_round_trip(membership3):
 # counterexample builds
 
 
-def case_ii_config():
+def case_ii_config(target=const(0.3)):
     cfg = BuildConfig(RadiiSchedule.default(3), EpsilonSchedule.default(3),
-                      TargetEnumeration.cyclic([const(0.3)],
+                      TargetEnumeration.cyclic([target],
                                                [UnitCircleArc(3.1316, 3.1516)], 1))
     return cfg, compute_witness(PHI, 1, 1j, RadiiSchedule.default(3), 1)
 
@@ -452,6 +452,19 @@ def test_counterexample_case_two_frozen():
     assert val <= budget
     assert abs(val - 5.125037609e-3) < 1e-9
     assert abs(budget - 0.1854819006) < 1e-9
+
+
+def test_counterexample_pin_reads_target_on_the_circle():
+    # at the pin the witness curve meets the stage arc r_1 K, so its ramp
+    # peaks at the arc's own target phi(zeta), zeta = z_pin/|z_pin|; a
+    # non-constant target tells that apart from phi(z_pin)
+    phi_t = ComplexPolynomial([0.3, 1.0])
+    cfg, w = case_ii_config(phi_t)
+    s, _ = build_counterexample_series(cfg, PHI, w, 1)
+    assert s.succeeded and s.stages[0].case == "II-1"
+    z_pin = complex(*s.stages[0].info["pins"][0])
+    miss = abs(evaluate(s.total(), z_pin) - evaluate(phi_t, z_pin / abs(z_pin)))
+    assert miss <= cfg.eps.eps[1]
 
 
 def test_counterexample_case_three_frozen():

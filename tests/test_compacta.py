@@ -1,7 +1,6 @@
-"""Sampled compacta: grids, unions, separation bookkeeping, JSON round-trip."""
+"""Sampled compacta: grids, unions, separation bookkeeping."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +12,6 @@ from abeluniv import (
     OverlapWarning,
     UnitCircleArc,
     apply_automorphism,
-    compactum_from_json,
-    compactum_to_json,
     sample_dilated_arc,
     sample_disc_constraint,
     sample_radial_curve,
@@ -94,27 +91,3 @@ def test_component_rejects_outside_disc():
         SampledComponent("DilatedArc", np.array([1.2 + 0j]))
     with pytest.raises(ConfigError):
         SampledComponent("NoSuchKind", np.array([0.1 + 0j]))
-
-
-def test_json_round_trip_regenerable():
-    arc = sample_dilated_arc(UnitCircleArc(0.25, 0.75), 0.7, 48)
-    disc = sample_disc_constraint(0.5, 48)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        cc = union(disc, arc)
-    text = compactum_to_json(cc)
-    back = compactum_from_json(text)
-    assert len(back.components) == 2
-    for orig, rec in zip(cc.components, back.components):
-        assert orig.kind == rec.kind
-        assert np.allclose(orig.points, rec.points)
-    # byte-stable serialization
-    assert compactum_to_json(back) == text
-
-
-def test_json_round_trip_explicit_target():
-    arc = sample_dilated_arc(UnitCircleArc(0.0, 0.5), 0.6, 16)
-    vals = np.linspace(1, 2, 16) + 0.25j
-    cc = union(arc.with_target(vals))
-    back = compactum_from_json(compactum_to_json(cc))
-    assert np.allclose(back.components[0].target, vals)

@@ -184,6 +184,23 @@ def test_scan_of_own_build_meets_telescoped_bounds(log2_build):
     assert rep.best_for(0, 0)["best_n"] == 2
 
 
+def test_scan_and_telescoping_read_the_target_at_the_same_points():
+    # phi(z) = z tells phi(zeta) from phi(r zeta): the builder's own audit
+    # and the black-box scan must both measure |F(r_n zeta) - phi(zeta)|
+    cfg = BuildConfig(RadiiSchedule.default(3), EpsilonSchedule.default(3),
+                      TargetEnumeration.cyclic([IDENT], [UnitCircleArc(0.3, 0.5)], 1))
+    series = build_membership_series(cfg, 1)
+    assert series.succeeded
+    rep = universality_scan(series.total(), [IDENT], [UnitCircleArc(0.3, 0.5)],
+                            cfg.rho, 1, density=cfg.arc_density)
+    rows = telescoping_errors(series)
+    assert len(rows) == len(rep.rows) == 1
+    for tel, scan in zip(rows, rep.rows):
+        assert tel["n"] == scan["n"]
+        assert abs(tel["sup"] - scan["sup_error"]) <= 1e-12
+        assert scan["sup_error"] <= tel["bound"]
+
+
 def test_exp_composition_transfer(log2_build):
     # pushing the build through exp turns the log-2 approximation into a
     # 2-approximation, degraded by at most e^B on a grid where |F| <= B
