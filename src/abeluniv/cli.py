@@ -130,10 +130,7 @@ def cmd_geometry(args) -> int:
 
     z = np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * math.pi * rng.uniform(0, 1, n))
     z *= 1 - 1e-9
-    ident = float(np.max([geometry.modulus_identity_residual(a, zz) for zz in z[:n]])) \
-        if n <= 64 else float(np.max(np.abs(
-            (1 - np.abs(geometry.apply_automorphism(phi0, z)) ** 2)
-            - (1 - abs(a) ** 2) * (1 - np.abs(z) ** 2) / np.abs(1 - np.conj(a) * z) ** 2)))
+    ident = geometry.modulus_identity_residual(a, z)
     invol = float(np.max(np.abs(
         geometry.apply_automorphism(phi0, geometry.apply_automorphism(phi0, z)) - z)))
 

@@ -50,8 +50,9 @@ class ParameterDiscTooLarge(ConfigError):
 class ToleranceUnreachable(RuntimeError):
     """Degree budget exhausted before the requested tolerance.
 
-    Carries the best polynomial found, its report, and the (degree, sup)
-    escalation history so callers can record the residual plateau.
+    No fit at any doubling target of fit_until met it. Carries the best of
+    those fits, its report, and the (degree, sup) history of the targets so
+    callers can record the residual plateau.
     """
 
     def __init__(self, message, polynomial=None, report=None, history=None):

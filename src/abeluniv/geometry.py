@@ -119,17 +119,18 @@ def mobius_shift(w: complex, z):
     return out.item() if np.isscalar(z) or zz.shape == () else out
 
 
-def modulus_identity_residual(a: complex, z: complex) -> float:
-    """|(1 - |phi_a(z)|^2) - (1-|a|^2)(1-|z|^2)/|1-conj(a)z|^2|.
+def modulus_identity_residual(a: complex, z) -> float:
+    """|(1 - |phi_a(z)|^2) - (1-|a|^2)(1-|z|^2)/|1-conj(a)z|^2|, the largest
+    over z when z is an array.
 
     The left side goes through apply_automorphism so the identity check
     exercises the same code path everything else uses.
     """
     if abs(a) >= 1:
         raise ConfigError("need |a| < 1")
-    left = 1.0 - abs(apply_automorphism(DiscAutomorphism(a), z)) ** 2
-    right = (1.0 - abs(a) ** 2) * (1.0 - abs(z) ** 2) / abs(1.0 - a.conjugate() * z) ** 2
-    return abs(left - right)
+    left = 1.0 - np.abs(apply_automorphism(DiscAutomorphism(a), z)) ** 2
+    right = (1.0 - abs(a) ** 2) * (1.0 - np.abs(z) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2
+    return float(np.max(np.abs(left - right)))
 
 
 def _tail_slope(a: complex, zeta: complex, r: float) -> float:

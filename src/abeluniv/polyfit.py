@@ -2,7 +2,7 @@
 
 Weighted least squares in a grid-orthogonalized basis, with iterative
 component reweighting to push the l2 solution toward the sup-norm target,
-and degree escalation with measured (never assumed) grid residuals.
+and a degree search with measured (never assumed) grid residuals.
 
 The returned object is always a plain coefficient vector evaluated by
 nested multiplication, and FitReport.sup_error is the exact grid residual
@@ -11,19 +11,16 @@ coefficients can grow until double-precision evaluation noise dominates;
 because the residual is measured on the returned representation, that
 failure mode shows up honestly as a plateau instead of a fake success.
 
-Synthesis noise must not hide a degree that works, though, so each fit
-also measures the grid residual of the orthogonal-basis fit before
-synthesis (FitReport.basis_sup). The degree ladder of fit_until treats a
-rung as a bracket when either residual meets the tolerance, and then
-bisects below it; only a returned polynomial whose own measured residual
-meets the tolerance is ever accepted.
+The Arnoldi columns are nested in degree, so one pass up to a target
+degree holds the fit at every lower degree: fit_until doubles the target
+until a pass meets the tolerance, then steps it down (see fit_until).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +56,7 @@ class FitReport:
 
     sup_error and rms_error are grid residuals of the returned coefficient
     vector; basis_condition is the largest synthesis column growth and
-    escalations the index of the ladder rung that produced the fit.
+    escalations the number of target doublings fit_until made first.
     basis_sup is the lowest grid sup residual of the orthogonal-basis fit
     Q.d, before monomial synthesis, over the reweighting rounds run: where
     it sits far below sup_error, synthesis noise dominates the returned
@@ -121,62 +118,76 @@ def grid_weights(cc: CompoundCompactum) -> np.ndarray:
     return w / w.sum()
 
 
-def _arnoldi_lsq(z: np.ndarray, y: np.ndarray, w: np.ndarray, degree: int
-                 ) -> Tuple[np.ndarray, float, float]:
-    """Least squares min sum w |p(z) - y|^2 over polynomials of degree <= degree.
+def _arnoldi_lsq(z: np.ndarray, y: np.ndarray, w: np.ndarray, degree: int,
+                 tol: Optional[float] = None) -> Tuple[np.ndarray, float, float]:
+    """Least squares min sum w |p(z) - y|^2 over polynomials of degree <= m.
 
-    Basis columns are built by the shift recurrence v = z * q_{k-1} and
-    modified Gram-Schmidt with one reorthogonalization pass against the
-    weighted inner product; monomial coefficients of each basis vector are
-    synthesized alongside. Raw monomial normal equations are never formed.
-    Returns (monomial coefficients, max synthesis column growth, grid sup
-    residual of the orthogonal-basis fit Q.d before synthesis).
+    Basis columns are built from q_0 = 1 by the shift recurrence
+    v = z * q_{m-1} and modified Gram-Schmidt with one reorthogonalization
+    pass against the weighted inner product; monomial coefficients of each
+    basis vector are synthesized alongside. Raw monomial normal equations
+    are never formed. Column m takes its weighted share <q_m, y> off the
+    residual r of the orthogonal fit. The pass stops at m = degree, or with
+    tol given at the first m where max|r| and the synthesized polynomial's
+    own residual both meet tol. Returns (monomial coefficients, max
+    synthesis column growth, max|r|).
     """
     n = len(z)
     sw = np.sqrt(w)
+    wy = w * y
     Q = np.zeros((n, degree + 1), dtype=complex)
     C = np.zeros((degree + 1, degree + 1), dtype=complex)
-    q = np.ones(n, dtype=complex)
-    nrm = float(np.linalg.norm(sw * q))
-    if nrm < 1e-150:
-        raise BasisBreakdown("empty weighted grid")
-    Q[:, 0] = q / nrm
-    C[0, 0] = 1.0 / nrm
-    for k in range(degree):
-        v = z * Q[:, k]
-        c = np.roll(C[:, k], 1)
-        c[0] = 0.0
+    v = np.ones(n, dtype=complex)
+    c = np.zeros(degree + 1, dtype=complex)
+    c[0] = 1.0
+    r = y.copy()
+    for m in range(degree + 1):
         before = float(np.linalg.norm(sw * v))
         for _ in range(2):
-            h = Q[:, :k + 1].conj().T @ (w * v)
-            v = v - Q[:, :k + 1] @ h
-            c = c - C[:, :k + 1] @ h
+            h = Q[:, :m].conj().T @ (w * v)
+            v = v - Q[:, :m] @ h
+            c = c - C[:, :m] @ h
         nv = float(np.linalg.norm(sw * v))
         if nv < 1e-14 * max(before, 1e-300):
             raise BasisBreakdown(
-                f"orthogonalization norm underflow at column {k + 1}; degenerate grid")
-        Q[:, k + 1] = v / nv
-        C[:, k + 1] = c / nv
-    d = Q.conj().T @ (w * y)
-    growth = float(np.max(np.sum(np.abs(C), axis=0)))
-    return C @ d, growth, float(np.max(np.abs(Q @ d - y)))
+                f"orthogonalization norm underflow at column {m}; degenerate grid")
+        v /= nv
+        Q[:, m] = v
+        C[:, m] = c / nv
+        r -= np.vdot(v, wy) * v
+        basis_sup = float(np.max(np.abs(r)))
+        if m == degree or (tol is not None and basis_sup <= tol):
+            # a contiguous copy keeps these bits equal to a pass ending at m
+            d = Q[:, :m + 1].conj().T @ wy
+            Cm = C[:m + 1, :m + 1]
+            coeffs = Cm @ d
+            if m == degree or (np.all(np.isfinite(coeffs)) and float(np.max(np.abs(
+                    evaluate(ComplexPolynomial(coeffs), z) - y))) <= tol):
+                return coeffs, float(np.max(np.sum(np.abs(Cm), axis=0))), basis_sup
+        v = z * v
+        c = np.roll(C[:, m], 1)
+        c[0] = 0.0
 
 
-def fit_polynomial(cc: CompoundCompactum, degree: int, reweight_rounds: int = 8
+def fit_polynomial(cc: CompoundCompactum, degree: int
                    ) -> Tuple[ComplexPolynomial, FitReport]:
     """Weighted least-squares fit of all component targets at the given degree.
 
-    Up to reweight_rounds passes multiply each component's weight by its
-    share of the sup residual (floored at 1e-4) to push the l2 fit toward
-    the sup-norm target; the round with the smallest measured sup residual
-    wins, and the loop stops as soon as a round fails to improve. The
-    report's basis_sup is the lowest synthesis-free residual over the rounds
-    run; it does not steer the reweighting.
-    """
+    Up to 8 rounds multiply each component's weight by its share of the sup
+    residual (floored at 1e-4) to push the l2 fit toward the sup-norm
+    target; the round with the smallest measured sup residual wins, and the
+    loop stops as soon as a round fails to improve. The report's basis_sup
+    is the lowest synthesis-free residual over the rounds run; it does not
+    steer the reweighting."""
+    return _fit(cc, degree)
+
+
+def _fit(cc: CompoundCompactum, degree: int, tol: Optional[float] = None
+         ) -> Tuple[ComplexPolynomial, FitReport]:
+    """fit_polynomial's rounds; with tol given, a round's pass may stop
+    below degree, and the first round whose fit meets tol wins."""
     if degree < 0:
         raise ConfigError("degree must be >= 0")
-    if reweight_rounds < 1:
-        raise ConfigError("reweight_rounds must be >= 1")
     for c in cc.components:
         if c.target is None:
             raise ConfigError(f"component {c.kind} has no target")
@@ -195,13 +206,13 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, reweight_rounds: int = 8
     best = None
     basis_sup = math.inf
     scale = np.ones(len(cc.components))
-    for _ in range(reweight_rounds):
+    for _ in range(8):
         w = base.copy()
         for i, sl in enumerate(slices):
             w[sl] *= scale[i]
         w = w / w.sum()
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            coeffs, growth, round_basis_sup = _arnoldi_lsq(pts, tgt, w, degree)
+            coeffs, growth, round_basis_sup = _arnoldi_lsq(pts, tgt, w, degree, tol)
         basis_sup = min(basis_sup, round_basis_sup)
         if not (np.all(np.isfinite(coeffs.view(float))) and math.isfinite(growth)):
             # monomial synthesis overflowed: the orthogonal fit exists but
@@ -219,80 +230,68 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, reweight_rounds: int = 8
             best = (sup, rms, growth, poly)
         else:
             break
-        if sup == 0.0:
+        if sup == 0.0 or (tol is not None and sup <= tol):
             break
         scale = scale * np.maximum(comp_sup / sup, 1e-4)
 
     sup, rms, growth, poly = best
-    return poly, FitReport(degree, sup, rms, growth, 0, basis_sup)
+    return poly, FitReport(poly.degree, sup, rms, growth, 0, basis_sup)
 
 
 def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
               ) -> Tuple[ComplexPolynomial, FitReport]:
-    """Escalate degree (doubling from 8) until a fit meets tol or the budget
-    runs out; the budget case raises with the best attempt and the full
-    (degree, sup) plateau history of the rungs attached.
+    """Smallest degree whose fit meets tol, searched without bisection.
 
-    A rung is a bracket when either its returned polynomial's sup residual
-    or its synthesis-free residual (FitReport.basis_sup) is <= tol. The
-    ladder then bisects down to the previous rung, accepting only a degree
-    whose returned polynomial's own measured residual is <= tol, so
-    sup_error is always true; if no degree in the bracket passes, the
-    ladder moves on to the next rung."""
+    The target degree doubles from 8 (capped at max_degree and the sample
+    count) until a pass meets tol at some degree m; escalations counts the
+    doublings. The target then steps to m - 1 while a fit there still meets
+    tol somewhere. The result is fit_polynomial at the last passing degree,
+    or the passing fit in hand should that refit miss tol, so sup_error is
+    always <= tol and measured on the returned vector. Otherwise the call
+    raises with the best attempt and the (degree, sup) history of the
+    targets, and says when only FitReport.basis_sup met tol."""
     if tol <= 0:
         raise ConfigError("tol must be positive")
-    if max_degree < 0:
-        raise ConfigError("max_degree must be >= 0")
-    cap = sum(len(c.points) for c in cc.components) - 1
-    raw = []
-    d = 8
-    while d < max_degree:
-        raw.append(d)
-        d *= 2
-    raw.append(max_degree)
+    top = min(max_degree, sum(len(c.points) for c in cc.components) - 1)
     ladder = []
-    for deg in raw:
-        e = min(deg, cap)
-        if not ladder or e > ladder[-1]:
-            ladder.append(e)
+    d = 8
+    while d < top:
+        ladder.append(d)
+        d *= 2
+    ladder.append(top)
 
     history = []
     best = None
-    # (degree, basis_sup) of the best rung whose orthogonal-basis fit met
+    # (degree, basis_sup) of the best target whose orthogonal-basis fit met
     # tol while its returned polynomial did not
     noisy = None
     for i, deg in enumerate(ladder):
         try:
-            poly, rep = fit_polynomial(cc, deg)
+            poly, rep = _fit(cc, deg, tol)
         except BasisBreakdown:
             history.append((deg, math.inf))
             continue
         history.append((rep.degree, rep.sup_error))
+        if rep.sup_error <= tol:
+            # every extra coefficient inflates later evaluations of the
+            # running sum: lower the target until it passes nowhere, then
+            # refit plainly at the last passing degree
+            try:
+                while rep.degree > 0:
+                    lower = _fit(cc, rep.degree - 1, tol)
+                    if lower[1].sup_error > tol:
+                        break
+                    poly, rep = lower
+                final = fit_polynomial(cc, rep.degree)
+                if final[1].sup_error <= tol:
+                    poly, rep = final
+            except BasisBreakdown:
+                pass
+            return poly, replace(rep, escalations=i)
         if best is None or rep.sup_error < best[1].sup_error:
             best = (poly, replace(rep, escalations=i))
-        passed = rep.sup_error <= tol
-        if not passed and rep.basis_sup > tol:
-            continue
-        if not passed and (noisy is None or rep.basis_sup < noisy[1]):
+        if rep.basis_sup <= tol and (noisy is None or rep.basis_sup < noisy[1]):
             noisy = (rep.degree, rep.basis_sup)
-        # refine downward to the smallest passing degree: every extra
-        # coefficient inflates later evaluations of the running sum
-        found = (poly, rep) if passed else None
-        lo = (ladder[i - 1] + 1) if i > 0 else 0
-        hi = deg
-        while lo < hi:
-            mid = (lo + hi) // 2
-            try:
-                p_mid, r_mid = fit_polynomial(cc, mid)
-            except BasisBreakdown:
-                r_mid = None
-            if r_mid is not None and r_mid.sup_error <= tol:
-                found = (p_mid, r_mid)
-                hi = mid
-            else:
-                lo = mid + 1
-        if found is not None:
-            return found[0], replace(found[1], escalations=i)
     plateau = ", ".join(f"{d}:{s:.3e}" for d, s in history)
     if noisy is None:
         why = f"tolerance {tol:.3e} unreachable within degree {max_degree}"

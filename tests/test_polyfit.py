@@ -32,8 +32,10 @@ from abeluniv import (
     sample_disc_constraint,
     union,
 )
+from abeluniv import polyfit
 from abeluniv.builder import _membership_stage_compactum
 from abeluniv.compacta import SampledComponent
+from abeluniv.polyfit import _arnoldi_lsq, grid_weights
 
 RNG = np.random.default_rng(991)
 
@@ -185,27 +187,30 @@ def test_fit_report_scaling_consistency():
 
 
 def test_least_squares_optimality_under_perturbation():
-    # at reweight_rounds=1 the weights in force are the documented defaults
+    # one pass of the fit core at the documented default weights is the
+    # weighted l2 minimizer at that degree
     disc = sample_disc_constraint(0.5, 64)
     arc = sample_dilated_arc(UnitCircleArc(0.2, 0.9), 0.8, 48)
     cc = union(disc, arc.with_target(np.full(48, 0.7 + 0.2j)))
-    poly, rep = fit_polynomial(cc, 12, reweight_rounds=1)
 
     pts = np.concatenate([c.points for c in cc.components])
     tgt = np.concatenate([c.target for c in cc.components])
     w = np.concatenate([np.full(len(c.points), c.weight / len(c.points))
                         for c in cc.components])
     w = w / w.sum()
+    assert np.array_equal(w, grid_weights(cc))
+    coeffs, _, _ = _arnoldi_lsq(pts, tgt, w, 12)
+    assert len(coeffs) == 13
 
     def wrms(coeffs):
         vals = evaluate(ComplexPolynomial(list(coeffs)), pts)
         return math.sqrt(float(np.sum(w * np.abs(vals - tgt) ** 2)))
 
-    base = wrms(poly.coeffs)
+    base = wrms(coeffs)
     for _ in range(20):
         delta = RNG.normal(size=13) + 1j * RNG.normal(size=13)
         delta = 1e-6 * delta / np.linalg.norm(delta)
-        perturbed = np.array(poly.coeffs, dtype=complex) + delta
+        perturbed = coeffs + delta
         assert wrms(perturbed) >= base - 1e-18
 
 
@@ -220,6 +225,8 @@ def test_fit_until_representable_target():
     got, rep = fit_until(cc, 1e-9, 64)
     assert rep.degree <= 8
     assert rep.sup_error <= 1e-9
+    with pytest.raises(ConfigError):
+        fit_until(cc, 1e-9, -1)
 
 
 def test_fit_until_refines_to_smallest_passing_degree():
@@ -298,3 +305,34 @@ def test_fit_until_brackets_on_synthesis_free_residual(log2_stage2_compactum):
     assert "met only before monomial synthesis" in msg
     assert "at degree 512" in msg
     assert min(e for _, e in err.value.history) > 0.01
+
+
+def test_fit_until_returns_the_refit_at_the_smallest_passing_degree(log2_stage2_compactum):
+    # the step-down search ends where the fit one degree lower misses tol,
+    # and hands back the plain fit_polynomial result at the degree it found
+    cc = log2_stage2_compactum
+    poly, rep = fit_until(cc, 0.016, 512)
+    assert rep.degree == 218
+    ref, ref_rep = fit_polynomial(cc, 218)
+    assert poly.coeffs == ref.coeffs
+    assert rep.sup_error == ref_rep.sup_error <= 0.016
+    _, below = fit_polynomial(cc, 217)
+    assert below.sup_error > 0.016
+
+
+def test_fit_until_noisy_targets_cost_no_extra_passes(log2_stage2_compactum, monkeypatch):
+    # at tol 0.01 only the synthesis-free residual of target 512 meets tol;
+    # no returned polynomial does, so the search must not step down below
+    # any target: at most 8 reweighting passes at each of the 7 targets
+    targets = []
+    core = polyfit._arnoldi_lsq
+
+    def counted(z, y, w, degree, *rest):
+        targets.append(degree)
+        return core(z, y, w, degree, *rest)
+
+    monkeypatch.setattr(polyfit, "_arnoldi_lsq", counted)
+    with pytest.raises(ToleranceUnreachable):
+        fit_until(log2_stage2_compactum, 0.01, 512)
+    assert len(targets) <= 56
+    assert set(targets) <= {8, 16, 32, 64, 128, 256, 512}

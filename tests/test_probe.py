@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import abeluniv
 from abeluniv import (
     BuildConfig,
     CertificateFailure,
@@ -172,6 +176,27 @@ def log2_build():
     series = build_membership_series(cfg, 2)
     assert series.succeeded
     return cfg, series
+
+
+def test_log2_build_degrees_do_not_depend_on_blas_threads(log2_build):
+    # the same build in a child process at another OpenBLAS thread count
+    # must choose the same stage degrees (measured: [24, 164])
+    _, series = log2_build
+    threads = "2" if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else "1"
+    src = os.path.dirname(os.path.dirname(abeluniv.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", """
+import math
+from abeluniv import (BuildConfig, ComplexPolynomial, EpsilonSchedule,
+                      RadiiSchedule, TargetEnumeration, UnitCircleArc,
+                      build_membership_series)
+cfg = BuildConfig(RadiiSchedule.default(4), EpsilonSchedule.default(4),
+                  TargetEnumeration.cyclic([ComplexPolynomial([math.log(2)])],
+                                           [UnitCircleArc(0.3, 0.5)], 2))
+print([rec.fit.degree for rec in build_membership_series(cfg, 2).stages])
+"""], env=env, capture_output=True, text=True, timeout=600, check=True)
+    assert json.loads(child.stdout) == [rec.fit.degree for rec in series.stages]
 
 
 def test_scan_of_own_build_meets_telescoped_bounds(log2_build):
