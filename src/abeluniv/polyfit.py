@@ -119,8 +119,9 @@ def grid_weights(cc: CompoundCompactum) -> np.ndarray:
 
 
 def _arnoldi_lsq(z: np.ndarray, y: np.ndarray, w: np.ndarray, degree: int,
-                 tol: Optional[float] = None) -> Tuple[np.ndarray, float, float]:
-    """Least squares min sum w |p(z) - y|^2 over polynomials of degree <= m.
+                 tol: Optional[float] = None
+                 ) -> Tuple[np.ndarray, float, float, Optional[np.ndarray]]:
+    """Least squares min sum w |p(z) - y|^2 over deg p <= m, the stop degree.
 
     Basis columns are built from q_0 = 1 by the shift recurrence
     v = z * q_{m-1} and modified Gram-Schmidt with one reorthogonalization
@@ -130,7 +131,8 @@ def _arnoldi_lsq(z: np.ndarray, y: np.ndarray, w: np.ndarray, degree: int,
     residual r of the orthogonal fit. The pass stops at m = degree, or with
     tol given at the first m where max|r| and the synthesized polynomial's
     own residual both meet tol. Returns (monomial coefficients, max
-    synthesis column growth, max|r|).
+    synthesis column growth, max|r|, |p(z) - y|), the last None when
+    synthesis overflowed.
     """
     n = len(z)
     sw = np.sqrt(w)
@@ -161,15 +163,18 @@ def _arnoldi_lsq(z: np.ndarray, y: np.ndarray, w: np.ndarray, degree: int,
             d = Q[:, :m + 1].conj().T @ wy
             Cm = C[:m + 1, :m + 1]
             coeffs = Cm @ d
-            if m == degree or (np.all(np.isfinite(coeffs)) and float(np.max(np.abs(
-                    evaluate(ComplexPolynomial(coeffs), z) - y))) <= tol):
-                return coeffs, float(np.max(np.sum(np.abs(Cm), axis=0))), basis_sup
+            res = None
+            if np.all(np.isfinite(coeffs.view(float))):
+                res = np.abs(evaluate(ComplexPolynomial(coeffs), z) - y)
+            if m == degree or (res is not None and float(res.max()) <= tol):
+                return coeffs, float(np.max(np.sum(np.abs(Cm), axis=0))), basis_sup, res
         v = z * v
         c = np.roll(C[:, m], 1)
         c[0] = 0.0
 
 
-def fit_polynomial(cc: CompoundCompactum, degree: int
+def fit_polynomial(cc: CompoundCompactum, degree: int, *,
+                   tol: Optional[float] = None
                    ) -> Tuple[ComplexPolynomial, FitReport]:
     """Weighted least-squares fit of all component targets at the given degree.
 
@@ -178,14 +183,9 @@ def fit_polynomial(cc: CompoundCompactum, degree: int
     target; the round with the smallest measured sup residual wins, and the
     loop stops as soon as a round fails to improve. The report's basis_sup
     is the lowest synthesis-free residual over the rounds run; it does not
-    steer the reweighting."""
-    return _fit(cc, degree)
-
-
-def _fit(cc: CompoundCompactum, degree: int, tol: Optional[float] = None
-         ) -> Tuple[ComplexPolynomial, FitReport]:
-    """fit_polynomial's rounds; with tol given, a round's pass may stop
-    below degree, and the first round whose fit meets tol wins."""
+    steer the reweighting. With tol given (fit_until's search), a round's
+    pass may stop below degree, and the first round whose fit meets tol
+    wins."""
     if degree < 0:
         raise ConfigError("degree must be >= 0")
     for c in cc.components:
@@ -212,9 +212,9 @@ def _fit(cc: CompoundCompactum, degree: int, tol: Optional[float] = None
             w[sl] *= scale[i]
         w = w / w.sum()
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            coeffs, growth, round_basis_sup = _arnoldi_lsq(pts, tgt, w, degree, tol)
+            coeffs, growth, round_basis_sup, res = _arnoldi_lsq(pts, tgt, w, degree, tol)
         basis_sup = min(basis_sup, round_basis_sup)
-        if not (np.all(np.isfinite(coeffs.view(float))) and math.isfinite(growth)):
+        if res is None or not math.isfinite(growth):
             # monomial synthesis overflowed: the orthogonal fit exists but
             # cannot be carried back to coefficient form at this degree
             if best is None:
@@ -222,7 +222,6 @@ def _fit(cc: CompoundCompactum, degree: int, tol: Optional[float] = None
                     f"monomial synthesis overflow at degree {degree}")
             break
         poly = ComplexPolynomial(coeffs)
-        res = np.abs(evaluate(poly, pts) - tgt)
         comp_sup = np.array([float(res[sl].max()) for sl in slices])
         sup = float(comp_sup.max())
         if best is None or sup < best[0]:
@@ -267,7 +266,7 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
     noisy = None
     for i, deg in enumerate(ladder):
         try:
-            poly, rep = _fit(cc, deg, tol)
+            poly, rep = fit_polynomial(cc, deg, tol=tol)
         except BasisBreakdown:
             history.append((deg, math.inf))
             continue
@@ -278,7 +277,7 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
             # refit plainly at the last passing degree
             try:
                 while rep.degree > 0:
-                    lower = _fit(cc, rep.degree - 1, tol)
+                    lower = fit_polynomial(cc, rep.degree - 1, tol=tol)
                     if lower[1].sup_error > tol:
                         break
                     poly, rep = lower

@@ -199,7 +199,7 @@ def test_least_squares_optimality_under_perturbation():
                         for c in cc.components])
     w = w / w.sum()
     assert np.array_equal(w, grid_weights(cc))
-    coeffs, _, _ = _arnoldi_lsq(pts, tgt, w, 12)
+    coeffs, _, _, _ = _arnoldi_lsq(pts, tgt, w, 12)
     assert len(coeffs) == 13
 
     def wrms(coeffs):
@@ -284,10 +284,10 @@ def log2_stage2_compactum():
 
 
 def test_fit_until_brackets_on_synthesis_free_residual(log2_stage2_compactum):
-    # At rung 256 the returned monomial vector's residual is synthesis noise
-    # (0.018 or 0.033 depending on BLAS rounding) while the orthogonal-basis
-    # fit reaches about 0.013; rung 512 is noise at 1e14. The rung must still
-    # bracket, and the bisection below it must find a degree whose returned
+    # At target 256 the full-degree monomial vector's residual is synthesis
+    # noise (0.018 or 0.033 depending on BLAS rounding) while the
+    # orthogonal-basis fit reaches about 0.013; target 512 is noise at 1e14.
+    # The pass up to 256 must still stop at a lower degree whose returned
     # polynomial itself meets the tolerance.
     cc = log2_stage2_compactum
     poly, rep = fit_until(cc, 0.016, 512)
@@ -307,11 +307,26 @@ def test_fit_until_brackets_on_synthesis_free_residual(log2_stage2_compactum):
     assert min(e for _, e in err.value.history) > 0.01
 
 
-def test_fit_until_returns_the_refit_at_the_smallest_passing_degree(log2_stage2_compactum):
+def test_fit_until_returns_the_refit_at_the_smallest_passing_degree(
+        log2_stage2_compactum, monkeypatch):
     # the step-down search ends where the fit one degree lower misses tol,
     # and hands back the plain fit_polynomial result at the degree it found
     cc = log2_stage2_compactum
+    targets = []
+    core = polyfit._arnoldi_lsq
+
+    def counted(z, y, w, degree, *rest):
+        targets.append(degree)
+        return core(z, y, w, degree, *rest)
+
+    monkeypatch.setattr(polyfit, "_arnoldi_lsq", counted)
     poly, rep = fit_until(cc, 0.016, 512)
+    monkeypatch.undo()
+    # each step-down pass stops at the lowest degree it can meet tol, so the
+    # descent from 256 takes few targets: 58 passes, where the bisection took
+    # 87; a descent of one degree per target would take hundreds
+    assert len(targets) <= 58
+    assert len(set(targets) - {8, 16, 32, 64, 128, 256}) <= 6
     assert rep.degree == 218
     ref, ref_rep = fit_polynomial(cc, 218)
     assert poly.coeffs == ref.coeffs
