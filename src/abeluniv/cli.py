@@ -110,9 +110,23 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _blas() -> dict:
+    """BLAS name and version numpy was built against; {} before numpy 1.26,
+    whose show_config has no mode argument."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return {}
+
+
 def _write_meta(prefix: str, started: float) -> None:
+    blas = _blas()
     meta = {"written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "runtime_seconds": time.time() - started}
+            "runtime_seconds": time.time() - started,
+            "numpy": np.__version__, "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "blas_name": blas.get("name"), "blas_version": blas.get("version")}
     _write(prefix + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
 
 

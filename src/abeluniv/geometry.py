@@ -69,10 +69,6 @@ class UnitCircleArc:
         if self.beta - self.alpha >= 2 * math.pi:
             raise ConfigError("arc must be a proper subset of the circle")
 
-    @property
-    def width(self) -> float:
-        return self.beta - self.alpha
-
     def sample(self, density: int) -> np.ndarray:
         """density equally spaced boundary points exp(i t), endpoints included."""
         return np.exp(1j * np.linspace(self.alpha, self.beta, density))

@@ -2,13 +2,15 @@
 
 Three jobs live here: measuring how close the dilates f_r come to targets
 on circle arcs (the density meter the whole package is about), wrapping
-functions in left/right compositions without losing evaluability, and
-continuing local inverse branches of an outer map g along paths so that a
-target h on an arc can be replaced by a lifted h0 with g(h0) close to h.
+functions in left/right compositions as labelled functions that stay
+evaluable on any grid, and continuing local inverse branches of an outer
+map g along paths so that a target h on an arc can be replaced by a lifted
+h0 with g(h0) close to h.
 
-Everything is grid-based and reported as measured numbers; a scan is
-evidence about finitely many radii and targets, never a certification of
-density.
+Function arguments are read in one place, `as_expr`, and outer maps in
+one, `_outer_map`. Everything is grid-based and reported as measured
+numbers; a scan is evidence about finitely many radii and targets, never a
+certification of density.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,163 +28,111 @@ from .errors import CertificateFailure, ConfigError, InvariantViolation
 from .geometry import DiscAutomorphism, UnitCircleArc, apply_automorphism
 from .polyfit import ComplexPolynomial, derivative, evaluate
 
+RECIPROCAL_FLOOR = 1e-6
 
-# composition trees
 
+# labelled functions
+
+@dataclass(frozen=True)
 class FunctionExpr:
-    """Immutable composition tree; callable on scalars and arrays."""
+    """A function with the label of the composition it came from; callable
+    on scalars and arrays. `fn` maps a 1-d complex array to its values. A
+    reciprocal records the min modulus it measured on its probe grid as
+    `certified_min`."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    label: str
+    certified_min: Optional[float] = None
 
     def __call__(self, z):
         arr = np.asarray(z, dtype=complex)
         scalar = arr.ndim == 0
-        vals = self._eval(np.atleast_1d(arr))
+        vals = self.fn(np.atleast_1d(arr))
         return vals[0].item() if scalar else vals
-
-    def _eval(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def label(self) -> str:
-        raise NotImplementedError
-
-
-class PolyExpr(FunctionExpr):
-    def __init__(self, poly: ComplexPolynomial):
-        self.poly = poly
-
-    def _eval(self, z):
-        return np.asarray(evaluate(self.poly, z))
-
-    @property
-    def label(self):
-        return f"poly(degree={self.poly.degree})"
-
-
-class ExpNode(FunctionExpr):
-    def __init__(self, inner: FunctionExpr):
-        self.inner = inner
-
-    def _eval(self, z):
-        return np.exp(self.inner._eval(z))
-
-    @property
-    def label(self):
-        return f"exp({self.inner.label})"
-
-
-class ReciprocalNode(FunctionExpr):
-    """1/f, only evaluable where the recorded min-modulus certificate keeps
-    holding: every evaluation grid is re-checked against the 1e-6 floor."""
-
-    FLOOR = 1e-6
-
-    def __init__(self, inner: FunctionExpr, certified_min: float, grid_size: int):
-        self.inner = inner
-        self.certified_min = certified_min
-        self.grid_size = grid_size
-
-    def _eval(self, z):
-        vals = self.inner._eval(z)
-        dip = float(np.min(np.abs(vals)))
-        if dip <= self.FLOOR:
-            raise CertificateFailure(
-                f"reciprocal argument dips to {dip:.3e} <= {self.FLOOR} on the "
-                "evaluation grid")
-        return 1.0 / vals
-
-    @property
-    def label(self):
-        return f"reciprocal({self.inner.label})"
-
-
-class PolyOfNode(FunctionExpr):
-    def __init__(self, outer: ComplexPolynomial, inner: FunctionExpr):
-        self.outer = outer
-        self.inner = inner
-
-    def _eval(self, z):
-        return np.asarray(evaluate(self.outer, self.inner._eval(z)))
-
-    @property
-    def label(self):
-        return f"poly(degree={self.outer.degree})o({self.inner.label})"
-
-
-class PreComposeNode(FunctionExpr):
-    """f composed with a disc automorphism on the right: z is moved first."""
-
-    def __init__(self, inner: FunctionExpr, phi: DiscAutomorphism):
-        self.inner = inner
-        self.phi = phi
-
-    def _eval(self, z):
-        return self.inner._eval(np.asarray(apply_automorphism(self.phi, z)))
-
-    @property
-    def label(self):
-        return (f"({self.inner.label})oPhi[a={self.phi.a!r},"
-                f"theta={self.phi.theta!r}]")
 
 
 def as_expr(f) -> FunctionExpr:
+    """Read a function argument: a FunctionExpr, a ComplexPolynomial, a
+    number (a constant), or any callable. A callable is tried on the whole
+    array first and called point by point when that raises or returns the
+    wrong shape."""
     if isinstance(f, FunctionExpr):
         return f
+    if isinstance(f, numbers.Number):
+        f = ComplexPolynomial([complex(f)])
     if isinstance(f, ComplexPolynomial):
-        return PolyExpr(f)
-    if isinstance(f, (int, float, complex)):
-        return PolyExpr(ComplexPolynomial([complex(f)]))
-    raise ConfigError(f"cannot interpret {type(f).__name__} as a function")
+        return FunctionExpr(lambda z: np.asarray(evaluate(f, z)),
+                            f"poly(degree={f.degree})")
+    if not callable(f):
+        raise ConfigError(f"cannot interpret {type(f).__name__} as a function")
 
-
-def compose_left(g, f, probe_grid=None) -> FunctionExpr:
-    """exp(f), 1/f, or P(f). The reciprocal wrapper demands a probe grid on
-    which |f| stays above the 1e-6 floor; the measured minimum is recorded
-    in the node as its certificate."""
-    expr = as_expr(f)
-    if isinstance(g, ComplexPolynomial):
-        return PolyOfNode(g, expr)
-    if isinstance(g, str):
-        name = g.lower()
-        if name == "exp":
-            return ExpNode(expr)
-        if name == "reciprocal":
-            if probe_grid is None:
-                raise ConfigError("reciprocal composition needs a probe grid "
-                                  "for its min-modulus certificate")
-            grid = np.asarray(probe_grid, dtype=complex).ravel()
-            if grid.size == 0:
-                raise ConfigError("empty probe grid")
-            vals = expr(grid)
-            m = float(np.min(np.abs(vals)))
-            if m <= ReciprocalNode.FLOOR:
-                raise CertificateFailure(
-                    f"min modulus {m:.3e} on the probe grid is not above "
-                    f"{ReciprocalNode.FLOOR}; reciprocal refused")
-            return ReciprocalNode(expr, m, grid.size)
-    raise ConfigError(f"unknown left composition {g!r}")
-
-
-def compose_right(f, phi: DiscAutomorphism) -> FunctionExpr:
-    return PreComposeNode(as_expr(f), phi)
-
-
-# dilate distance and scans
-
-def _target_values(target, zeta: np.ndarray) -> np.ndarray:
-    if isinstance(target, ComplexPolynomial):
-        return np.asarray(evaluate(target, zeta))
-    if isinstance(target, FunctionExpr):
-        return target(zeta)
-    if callable(target):
+    def values(z):
         try:
-            v = np.asarray(target(zeta), dtype=complex)
-            if v.shape == zeta.shape:
+            v = np.asarray(f(z), dtype=complex)
+            if v.shape == z.shape:
                 return v
         except (TypeError, ValueError):
             pass
-        return np.array([complex(target(z)) for z in zeta])
-    return np.full(zeta.shape, complex(target))
+        return np.array([complex(f(p)) for p in z])
+    return FunctionExpr(values, getattr(f, "__name__", type(f).__name__))
 
+
+def _outer_map(g, names=("exp",)):
+    """Read an outer map: one of `names` (any case) or a ComplexPolynomial,
+    which may be given as its coefficient list."""
+    if isinstance(g, str) and g.lower() in names:
+        return g.lower()
+    if isinstance(g, (list, tuple)):
+        g = ComplexPolynomial(g)
+    if isinstance(g, ComplexPolynomial):
+        return g
+    raise ConfigError(f"unknown outer map {g!r}")
+
+
+def compose_left(g, f, probe_grid=None) -> FunctionExpr:
+    """exp(f), 1/f, or P(f). The reciprocal demands a probe grid on which
+    |f| stays above the 1e-6 floor and records the measured minimum as its
+    certificate; every later evaluation grid is re-checked against the
+    floor."""
+    inner = as_expr(f)
+    outer = _outer_map(g, ("exp", "reciprocal"))
+    if outer == "exp":
+        return FunctionExpr(lambda z: np.exp(inner.fn(z)), f"exp({inner.label})")
+    if outer != "reciprocal":
+        return FunctionExpr(lambda z: np.asarray(evaluate(outer, inner.fn(z))),
+                            f"poly(degree={outer.degree})o({inner.label})")
+    if probe_grid is None:
+        raise ConfigError("reciprocal composition needs a probe grid "
+                          "for its min-modulus certificate")
+    grid = np.asarray(probe_grid, dtype=complex).ravel()
+    if grid.size == 0:
+        raise ConfigError("empty probe grid")
+    m = float(np.min(np.abs(inner(grid))))
+    if m <= RECIPROCAL_FLOOR:
+        raise CertificateFailure(
+            f"min modulus {m:.3e} on the probe grid is not above "
+            f"{RECIPROCAL_FLOOR}; reciprocal refused")
+
+    def reciprocal(z):
+        vals = inner.fn(z)
+        dip = float(np.min(np.abs(vals)))
+        if dip <= RECIPROCAL_FLOOR:
+            raise CertificateFailure(
+                f"reciprocal argument dips to {dip:.3e} <= {RECIPROCAL_FLOOR} "
+                "on the evaluation grid")
+        return 1.0 / vals
+    return FunctionExpr(reciprocal, f"reciprocal({inner.label})", m)
+
+
+def compose_right(f, phi: DiscAutomorphism) -> FunctionExpr:
+    """f composed with a disc automorphism on the right: z is moved first."""
+    inner = as_expr(f)
+    return FunctionExpr(
+        lambda z: inner.fn(np.asarray(apply_automorphism(phi, z))),
+        f"({inner.label})oPhi[a={phi.a!r},theta={phi.theta!r}]")
+
+
+# dilate distance and scans
 
 def dilate_distance(f, arc: UnitCircleArc, target, r: float,
                     density: int = 256) -> float:
@@ -190,10 +141,9 @@ def dilate_distance(f, arc: UnitCircleArc, target, r: float,
         raise ConfigError(f"dilation radius {r} outside (0, 1)")
     if density < 2:
         raise ConfigError("need at least two sample points")
-    expr = as_expr(f)
     zeta = arc.sample(density)
-    fv = expr(r * zeta)
-    tv = _target_values(target, zeta)
+    fv = as_expr(f)(r * zeta)
+    tv = as_expr(target)(zeta)
     return float(np.max(np.abs(fv - tv)))
 
 
@@ -291,24 +241,12 @@ class LiftResult:
         return complex(self.values[-1])
 
 
-class _Stuck(Exception):
-    pass
-
-
-class _Blown(Exception):
-    pass
-
-
-def _as_inverse_pair(g) -> Tuple[Callable, Callable, str]:
-    if isinstance(g, str) and g.lower() == "exp":
-        return cmath.exp, cmath.exp, "exp"
-    if isinstance(g, (list, tuple)):
-        g = ComplexPolynomial(g)
-    if isinstance(g, ComplexPolynomial):
-        der = derivative(g)
-        return (lambda z: evaluate(g, z), lambda z: evaluate(der, z),
-                f"poly(degree={g.degree})")
-    raise ConfigError(f"cannot continue inverse branches of {type(g).__name__}")
+def _as_inverse_pair(g) -> Tuple[Callable, Callable]:
+    """(g, g') as scalar functions of an outer map read by _outer_map."""
+    if g == "exp":
+        return cmath.exp, cmath.exp
+    der = derivative(g)
+    return (lambda z: evaluate(g, z)), (lambda z: evaluate(der, z))
 
 
 def _damped_newton(gf, dg, h0: complex, w: complex, tol: float,
@@ -360,10 +298,13 @@ def _advance(gf, dg, h: complex, w_cur: complex, w_next: complex,
 
 
 def _march_segment(gf, dg, h: complex, w_a: complex, w_b: complex,
-                   tol: float, min_step: float, record) -> complex:
+                   tol: float, min_step: float,
+                   record) -> Tuple[complex, Optional[str]]:
+    """March from w_a to w_b; returns the last accepted h and None, or the
+    stop status ("critical-point" or "diverged") where it gave up."""
     length = abs(w_b - w_a)
     if length == 0:
-        return h
+        return h, None
     direction = (w_b - w_a) / length
     pos = 0.0
     init = length / 64.0
@@ -378,13 +319,13 @@ def _march_segment(gf, dg, h: complex, w_a: complex, w_b: complex,
             pos += d
             record(pos / length, h, w_next)
             if abs(h) > 1e6:
-                raise _Blown()
+                return h, "diverged"
             step = min(step * 2.0, init)
         else:
             if step <= min_step:
-                raise _Stuck()
+                return h, "critical-point"
             step = max(step * 0.5, min_step)
-    return h
+    return h, None
 
 
 def lift_path(g, path: Sequence[complex], start: complex, tol: float) -> LiftResult:
@@ -392,7 +333,7 @@ def lift_path(g, path: Sequence[complex], start: complex, tol: float) -> LiftRes
     polyline. Stops with a critical-point status when no acceptable step
     above the minimum (1e-6 of the path length) exists, and with a
     diverged status when |h| passes 1e6."""
-    gf, dg, _ = _as_inverse_pair(g)
+    gf, dg = _as_inverse_pair(_outer_map(g))
     pts = [complex(p) for p in path]
     if len(pts) < 2:
         raise ConfigError("path needs at least two points")
@@ -416,13 +357,9 @@ def lift_path(g, path: Sequence[complex], start: complex, tol: float) -> LiftRes
                 ts.append((_done + frac * _seg) / total)
                 hs.append(hh)
                 ws.append(ww)
-            try:
-                h = _march_segment(gf, dg, h, a, b, tol, min_step, record)
-            except _Stuck:
-                status = LiftStatus("critical-point", len(hs) - 1)
-                break
-            except _Blown:
-                status = LiftStatus("diverged", len(hs) - 1)
+            h, stop = _march_segment(gf, dg, h, a, b, tol, min_step, record)
+            if stop is not None:
+                status = LiftStatus(stop, len(hs) - 1)
                 break
             done += seg
     t = np.asarray(ts)
@@ -435,12 +372,9 @@ def lift_path(g, path: Sequence[complex], start: complex, tol: float) -> LiftRes
 def branch_obstructions(g) -> np.ndarray:
     """Values of g at the zeros of g'; for exp, the single omitted value 0.
     Lift node targets must keep clear of these."""
-    if isinstance(g, str) and g.lower() == "exp":
+    g = _outer_map(g)
+    if g == "exp":
         return np.array([0j])
-    if isinstance(g, (list, tuple)):
-        g = ComplexPolynomial(g)
-    if not isinstance(g, ComplexPolynomial):
-        raise ConfigError(f"no obstruction table for {type(g).__name__}")
     der = derivative(g)
     roots = polynomial_roots(der.coeffs)
     if roots.size == 0:
@@ -473,7 +407,6 @@ class LiftedTarget:
 
     angles: np.ndarray
     values: np.ndarray
-    node_angles: np.ndarray
     node_targets: np.ndarray
 
     def __call__(self, zeta):
@@ -522,11 +455,13 @@ def liftable_target(g, arc: UnitCircleArc, h, eps: float,
         raise ConfigError("need at least two nodes")
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    gf, _, _ = _as_inverse_pair(g)
+    g = _outer_map(g)
+    gf, dg = _as_inverse_pair(g)
     obstructions = branch_obstructions(g)
+    h = as_expr(h)
 
     def h_of(angles):
-        return _target_values(h, np.exp(1j * angles))
+        return h(np.exp(1j * angles))
 
     k = n_nodes
     last_err = None
@@ -550,7 +485,7 @@ def liftable_target(g, arc: UnitCircleArc, h, eps: float,
             nodes.append(w)
             prev = w
         tol = eps / 8
-        start = _branch_start(g, gf, nodes[0], tol)
+        start = _branch_start(g, gf, dg, nodes[0], tol)
         res = lift_path(g, nodes, start, tol)
         if not res.status.complete:
             last_err = f"lift stopped ({res.status.kind} at {res.status.index})"
@@ -569,26 +504,25 @@ def liftable_target(g, arc: UnitCircleArc, h, eps: float,
         h0_im = np.interp(frac, res.t, res.values.imag)
         h0 = h0_re + 1j * h0_im
         defect = float(np.max(np.abs(
-            np.array([gf(v) for v in h0]) - _target_values(h, np.exp(1j * dense)))))
+            np.array([gf(v) for v in h0]) - h_of(dense))))
         if defect < eps:
-            lifted = LiftedTarget(dense, h0, angles, np.asarray(nodes, dtype=complex))
+            lifted = LiftedTarget(dense, h0, np.asarray(nodes, dtype=complex))
             return lifted, defect
         last_err = f"measured defect {defect:.3e} >= eps"
         k = 2 * k - 1
     raise InvariantViolation(f"lifted target out of tolerance after retries: {last_err}")
 
 
-def _branch_start(g, gf, w0: complex, tol: float) -> complex:
-    if isinstance(g, str) and g.lower() == "exp":
+def _branch_start(g, gf, dg, w0: complex, tol: float) -> complex:
+    if g == "exp":
         return cmath.log(w0)
-    poly = ComplexPolynomial(g) if isinstance(g, (list, tuple)) else g
-    shifted = list(poly.coeffs)
+    shifted = list(g.coeffs)
     shifted[0] = shifted[0] - w0
     roots = polynomial_roots(shifted)
     if roots.size == 0:
         raise ConfigError("outer polynomial is constant; nothing to lift")
     roots = sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-    h, _, ok = _damped_newton(gf, _as_inverse_pair(g)[1], complex(roots[0]), w0, tol)
+    h, _, ok = _damped_newton(gf, dg, complex(roots[0]), w0, tol)
     return h if ok else complex(roots[0])
 
 
@@ -604,11 +538,6 @@ def dilate_report_to_csv(report: DilateReport, config: dict) -> str:
         lines.append(f"{row['target_id']},{row['arc_id']},{row['n']},"
                      f"{row['r']!r},{row['sup_error']!r}")
     return "\n".join(lines) + "\n"
-
-
-def dilate_report_to_json(report: DilateReport, config: dict) -> str:
-    payload = {"config": config, "rows": report.rows, "best": report.best}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def lift_result_to_csv(result: LiftResult, config: dict) -> str:

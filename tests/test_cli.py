@@ -20,6 +20,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from abeluniv.cli import main
@@ -153,6 +154,22 @@ def test_build_rerun_is_byte_identical(tmp_path, artifacts):
         assert first == second
     meta = json.load(open(again + ".meta.json"))
     assert meta  # timestamps live here, not in the payload
+
+
+def test_meta_records_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    out = str(tmp_path / "env")
+    assert main(["geometry", "--a", "0.5", "--samples", "10", "--out", out]) == 0
+    meta = json.load(open(out + ".meta.json"))
+    assert meta["numpy"] == np.__version__
+    assert meta["cpu_count"] == os.cpu_count()
+    assert meta["OPENBLAS_NUM_THREADS"] == "1"
+    assert meta["OMP_NUM_THREADS"] is None
+    for key in ("blas_name", "blas_version"):
+        assert meta[key] is None or isinstance(meta[key], str)
+    # the environment stays out of the payload
+    assert "numpy" not in open(out + ".json").read()
 
 
 def test_build_failure_keeps_partial_results(tmp_path, capsys):

@@ -35,8 +35,7 @@ from abeluniv import (
     universality_scan,
 )
 from abeluniv.probe import (DilateReport, dilate_report_to_csv,
-                            dilate_report_to_json, lift_result_to_csv,
-                            lift_result_to_json)
+                            lift_result_to_csv, lift_result_to_json)
 
 SQUARE = ComplexPolynomial([0, 0, 1])
 IDENT = ComplexPolynomial([0, 1])
@@ -44,7 +43,7 @@ IDENT = ComplexPolynomial([0, 1])
 RNG = np.random.default_rng(20240817)
 
 
-# composition trees
+# labelled functions
 
 
 def test_as_expr_accepts_scalars_and_polys():
@@ -93,6 +92,45 @@ def test_compose_left_validation():
         compose_left("reciprocal", IDENT, probe_grid=np.array([]))
     with pytest.raises(ConfigError):
         compose_left("cosh", IDENT)
+
+
+def test_cli_composition_labels_are_exact():
+    # the scan payload's "function" field writes these labels out
+    from types import SimpleNamespace
+    from abeluniv.cli import _compose_for_probe
+    series = SimpleNamespace(total=lambda: ComplexPolynomial([0.1, 0.5, 0.25]))
+    grid = 0.5 * np.exp(2j * math.pi * np.arange(16) / 16)
+    expected = {
+        (): "poly(degree=2)",
+        ("exp",): "exp(poly(degree=2))",
+        ("reciprocal",): "reciprocal(poly(degree=2))",
+        ("pre_automorphism",): "(poly(degree=2))oPhi[a=(0.3+0.1j),theta=0.0]",
+        ("poly",): "poly(degree=2)o(poly(degree=2))",
+        ("pre_automorphism", "exp"):
+            "exp((poly(degree=2))oPhi[a=(0.3+0.1j),theta=0.0])",
+    }
+    for flags, label in expected.items():
+        args = SimpleNamespace(
+            exp="exp" in flags, reciprocal="reciprocal" in flags,
+            poly="[[0,0],[1,0],[0.5,0]]" if "poly" in flags else None,
+            pre_automorphism="0.3,0.1" if "pre_automorphism" in flags else None)
+        assert _compose_for_probe(series, args, grid).label == label
+
+
+def test_dilate_distance_reads_numpy_scalars_and_scalar_only_callables():
+    arc = UnitCircleArc(0.2, 0.9)
+    assert dilate_distance(np.int64(2), arc, 2.0, 0.5) == 0.0
+    assert dilate_distance(2.0, arc, np.int64(2), 0.5) == 0.0
+
+    def square_scalar(z):
+        return complex(z) ** 2  # complex() of a long array raises TypeError
+
+    # |(r zeta)^2 - zeta^2| = 1 - r^2 everywhere on the circle
+    assert dilate_distance(square_scalar, arc, SQUARE, 0.5) == pytest.approx(0.75)
+    assert dilate_distance(SQUARE, arc, square_scalar, 0.5) == pytest.approx(0.75)
+    # a callable returning one value for the whole array is called per point
+    assert dilate_distance(IDENT, arc, lambda z: 0.0, 0.5) == pytest.approx(0.5)
+    assert dilate_distance(lambda z: np.int64(3), arc, 3.0, 0.5) == 0.0
 
 
 def test_compose_right_moves_argument_first():
@@ -430,12 +468,6 @@ def test_dilate_report_emitters_deterministic():
     assert lines[0].startswith("# config ")
     assert lines[1] == "target_id,arc_id,n,r_n,sup_error"
     assert len(lines) == 2 + len(rep.rows)
-    j1 = dilate_report_to_json(rep, config)
-    assert j1 == dilate_report_to_json(rep, config)
-    payload = json.loads(j1)
-    assert payload["config"] == config
-    assert len(payload["rows"]) == len(rep.rows)
-    assert payload["best"][0]["best_error"] == rep.best[0]["best_error"]
 
 
 def test_lift_result_emitters():
