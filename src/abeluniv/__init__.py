@@ -35,6 +35,6 @@ from .builder import (BuildConfig, CounterexampleWitness, EpsilonSchedule,
 from .probe import (DilateReport, FunctionExpr, LiftResult, LiftStatus,
                     LiftedTarget, as_expr, branch_obstructions, compose_left,
                     compose_right, dilate_distance, lift_path, liftable_target,
-                    polynomial_roots, radial_value_coverage, universality_scan)
+                    polynomial_roots, universality_scan)
 
 __version__ = "0.1.0"

@@ -14,12 +14,16 @@ failure mode shows up honestly as a plateau instead of a fake success.
 The Arnoldi columns are nested in degree, so one pass up to a target
 degree holds the fit at every lower degree: fit_until doubles the target
 until a pass meets the tolerance, then steps it down (see fit_until).
+The step-down reruns no pass: round 1 of every lower target reads its fit
+from the base-weight columns of the widest pass in hand, and the final
+refit resumes the reweighting rounds that the fit at its degree already
+ran.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -118,8 +122,58 @@ def grid_weights(cc: CompoundCompactum) -> np.ndarray:
     return w / w.sum()
 
 
+def _conj_matvec(Q: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
+    """Q[:, :m].conj().T @ x, bit for bit, without a conjugated copy of the
+    prefix.
+
+    conj(Q^T conj(x)) is the same sum of the same products, and numpy hands
+    the strided transpose to the kernel that read the copy, so the bits
+    agree for every m >= 2. A single column goes down numpy's strided
+    vector path instead, whose last bits differ, so m = 1 takes the dot
+    product of the conjugated column. tests/test_polyfit.py guards both."""
+    if m == 1:
+        return np.array([np.dot(Q[:, 0].conj(), x)])
+    return (Q[:, :m].T @ x.conj()).conj()
+
+
+def _fit_at(Q: np.ndarray, C: np.ndarray, z: np.ndarray, y: np.ndarray,
+            wy: np.ndarray, m: int, basis_sup: float):
+    """The fit at degree m from basis columns 0..m, as _arnoldi_lsq returns
+    it."""
+    d = _conj_matvec(Q, m + 1, wy)
+    Cm = C[:m + 1, :m + 1]
+    coeffs = Cm @ d
+    res = None
+    if np.all(np.isfinite(coeffs.view(float))):
+        res = np.abs(evaluate(ComplexPolynomial(coeffs), z) - y)
+    return coeffs, float(np.max(np.sum(np.abs(Cm), axis=0))), basis_sup, res
+
+
+@dataclass
+class _Search:
+    """What the fits of one fit_until search (one tol) share.
+
+    columns is (Q, C, running max|r| per degree, w * y) of the widest
+    base-weight pass with tol so far. That pass met tol at no degree below
+    its last, so round 1 of a fit at any degree m it reaches, with this tol
+    or none, is its fit at m (read) and builds no column. rounds maps a
+    degree to the state after the passing round of a fit with tol whose
+    rounds all ran to that degree: the fit without tol there ran the same
+    rounds, and resumes after them."""
+
+    columns: Optional[tuple] = None
+    rounds: dict = field(default_factory=dict)
+
+    def read(self, degree: int, z: np.ndarray, y: np.ndarray):
+        """Round 1's fit at degree from the columns in hand, or None."""
+        if self.columns is None or degree >= len(self.columns[2]):
+            return None
+        Q, C, sups, wy = self.columns
+        return _fit_at(Q, C, z, y, wy, degree, float(sups[degree]))
+
+
 def _arnoldi_lsq(z: np.ndarray, y: np.ndarray, w: np.ndarray, degree: int,
-                 tol: Optional[float] = None
+                 tol: Optional[float] = None, search: Optional[_Search] = None
                  ) -> Tuple[np.ndarray, float, float, Optional[np.ndarray]]:
     """Least squares min sum w |p(z) - y|^2 over deg p <= m, the stop degree.
 
@@ -127,18 +181,23 @@ def _arnoldi_lsq(z: np.ndarray, y: np.ndarray, w: np.ndarray, degree: int,
     v = z * q_{m-1} and modified Gram-Schmidt with one reorthogonalization
     pass against the weighted inner product; monomial coefficients of each
     basis vector are synthesized alongside. Raw monomial normal equations
-    are never formed. Column m takes its weighted share <q_m, y> off the
-    residual r of the orthogonal fit. The pass stops at m = degree, or with
-    tol given at the first m where max|r| and the synthesized polynomial's
-    own residual both meet tol. Returns (monomial coefficients, max
-    synthesis column growth, max|r|, |p(z) - y|), the last None when
-    synthesis overflowed.
+    are never formed. The inner products read the basis in place as
+    conj(Q^T conj(x)), with the bits of a conjugated copy; at a single
+    column numpy's strided path rounds differently, so that one takes
+    np.dot of the conjugated column (_conj_matvec). Column m takes its
+    weighted share <q_m, y> off the residual r of the orthogonal fit. The
+    pass stops at m = degree, or with tol given at the first m where max|r|
+    and the synthesized polynomial's own residual both meet tol. Returns
+    (monomial coefficients, max synthesis column growth, max|r|,
+    |p(z) - y|), the last None when synthesis overflowed. With tol and
+    search given, the pass leaves its columns in search.columns.
     """
     n = len(z)
     sw = np.sqrt(w)
     wy = w * y
     Q = np.zeros((n, degree + 1), dtype=complex)
     C = np.zeros((degree + 1, degree + 1), dtype=complex)
+    sups = np.zeros(degree + 1)
     v = np.ones(n, dtype=complex)
     c = np.zeros(degree + 1, dtype=complex)
     c[0] = 1.0
@@ -146,7 +205,7 @@ def _arnoldi_lsq(z: np.ndarray, y: np.ndarray, w: np.ndarray, degree: int,
     for m in range(degree + 1):
         before = float(np.linalg.norm(sw * v))
         for _ in range(2):
-            h = Q[:, :m].conj().T @ (w * v)
+            h = _conj_matvec(Q, m, w * v)
             v = v - Q[:, :m] @ h
             c = c - C[:, :m] @ h
         nv = float(np.linalg.norm(sw * v))
@@ -157,24 +216,21 @@ def _arnoldi_lsq(z: np.ndarray, y: np.ndarray, w: np.ndarray, degree: int,
         Q[:, m] = v
         C[:, m] = c / nv
         r -= np.vdot(v, wy) * v
-        basis_sup = float(np.max(np.abs(r)))
-        if m == degree or (tol is not None and basis_sup <= tol):
-            # a contiguous copy keeps these bits equal to a pass ending at m
-            d = Q[:, :m + 1].conj().T @ wy
-            Cm = C[:m + 1, :m + 1]
-            coeffs = Cm @ d
-            res = None
-            if np.all(np.isfinite(coeffs.view(float))):
-                res = np.abs(evaluate(ComplexPolynomial(coeffs), z) - y)
+        sups[m] = float(np.max(np.abs(r)))
+        if m == degree or (tol is not None and sups[m] <= tol):
+            fit = _fit_at(Q, C, z, y, wy, m, float(sups[m]))
+            res = fit[3]
             if m == degree or (res is not None and float(res.max()) <= tol):
-                return coeffs, float(np.max(np.sum(np.abs(Cm), axis=0))), basis_sup, res
+                if search is not None and tol is not None:
+                    search.columns = (Q, C, sups[:m + 1], wy)
+                return fit
         v = z * v
         c = np.roll(C[:, m], 1)
         c[0] = 0.0
 
 
 def fit_polynomial(cc: CompoundCompactum, degree: int, *,
-                   tol: Optional[float] = None
+                   tol: Optional[float] = None, search: Optional[_Search] = None
                    ) -> Tuple[ComplexPolynomial, FitReport]:
     """Weighted least-squares fit of all component targets at the given degree.
 
@@ -185,7 +241,8 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
     is the lowest synthesis-free residual over the rounds run; it does not
     steer the reweighting. With tol given (fit_until's search), a round's
     pass may stop below degree, and the first round whose fit meets tol
-    wins."""
+    wins. search is the state fit_until shares between its fits (see
+    _Search); the result does not depend on it."""
     if degree < 0:
         raise ConfigError("degree must be >= 0")
     for c in cc.components:
@@ -203,16 +260,19 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
         start += len(c.points)
     base = grid_weights(cc)
 
-    best = None
-    basis_sup = math.inf
-    scale = np.ones(len(cc.components))
-    for _ in range(8):
-        w = base.copy()
-        for i, sl in enumerate(slices):
-            w[sl] *= scale[i]
-        w = w / w.sum()
+    best, basis_sup, scale, first = None, math.inf, np.ones(len(cc.components)), 0
+    if search is not None and tol is None and degree in search.rounds:
+        best, basis_sup, scale, first = search.rounds[degree]
+    for k in range(first, 8):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            coeffs, growth, round_basis_sup, res = _arnoldi_lsq(pts, tgt, w, degree, tol)
+            fit = search.read(degree, pts, tgt) if k == 0 and search is not None else None
+            if fit is None:
+                w = base.copy()
+                for i, sl in enumerate(slices):
+                    w[sl] *= scale[i]
+                w = w / w.sum()
+                fit = _arnoldi_lsq(pts, tgt, w, degree, tol, search if k == 0 else None)
+        coeffs, growth, round_basis_sup, res = fit
         basis_sup = min(basis_sup, round_basis_sup)
         if res is None or not math.isfinite(growth):
             # monomial synthesis overflowed: the orthogonal fit exists but
@@ -229,9 +289,13 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
             best = (sup, rms, growth, poly)
         else:
             break
-        if sup == 0.0 or (tol is not None and sup <= tol):
+        if sup == 0.0:
             break
         scale = scale * np.maximum(comp_sup / sup, 1e-4)
+        if tol is not None and sup <= tol:
+            if search is not None and poly.degree == degree:
+                search.rounds[degree] = (best, basis_sup, scale, k + 1)
+            break
 
     sup, rms, growth, poly = best
     return poly, FitReport(poly.degree, sup, rms, growth, 0, basis_sup)
@@ -261,12 +325,13 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
 
     history = []
     best = None
+    search = _Search()
     # (degree, basis_sup) of the best target whose orthogonal-basis fit met
     # tol while its returned polynomial did not
     noisy = None
     for i, deg in enumerate(ladder):
         try:
-            poly, rep = fit_polynomial(cc, deg, tol=tol)
+            poly, rep = fit_polynomial(cc, deg, tol=tol, search=search)
         except BasisBreakdown:
             history.append((deg, math.inf))
             continue
@@ -277,11 +342,11 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
             # refit plainly at the last passing degree
             try:
                 while rep.degree > 0:
-                    lower = fit_polynomial(cc, rep.degree - 1, tol=tol)
+                    lower = fit_polynomial(cc, rep.degree - 1, tol=tol, search=search)
                     if lower[1].sup_error > tol:
                         break
                     poly, rep = lower
-                final = fit_polynomial(cc, rep.degree)
+                final = fit_polynomial(cc, rep.degree, search=search)
                 if final[1].sup_error <= tol:
                     poly, rep = final
             except BasisBreakdown:

@@ -196,26 +196,6 @@ def universality_scan(f, targets: Sequence, arcs: Sequence[UnitCircleArc],
     return DilateReport.from_rows(rows)
 
 
-def radial_value_coverage(f, zeta: complex, rho, N: int,
-                          targets, eps: float) -> float:
-    """Fraction of the target grid within eps of some dilate value
-    f(r_n zeta), n = 0..N."""
-    if abs(abs(zeta) - 1.0) > 1e-12:
-        raise ConfigError("zeta must lie on the unit circle")
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
-    r = rho.r if hasattr(rho, "r") else tuple(float(x) for x in rho)
-    if len(r) < N + 1:
-        raise ConfigError(f"radii schedule too short: need {N + 1} entries")
-    expr = as_expr(f)
-    vals = expr(np.array([rr * zeta for rr in r[:N + 1]], dtype=complex))
-    grid = np.asarray(targets, dtype=complex).ravel()
-    if grid.size == 0:
-        raise ConfigError("empty target grid")
-    dist = np.min(np.abs(grid[:, None] - vals[None, :]), axis=1)
-    return float(np.mean(dist <= eps))
-
-
 # inverse-branch continuation
 
 @dataclass(frozen=True)

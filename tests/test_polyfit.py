@@ -4,6 +4,7 @@ The compensated-summation reference evaluator and the plateau constants were
 produced before the fitter existed and are frozen here as oracles.
 """
 
+import json
 import math
 import warnings
 
@@ -35,7 +36,8 @@ from abeluniv import (
 from abeluniv import polyfit
 from abeluniv.builder import _membership_stage_compactum
 from abeluniv.compacta import SampledComponent
-from abeluniv.polyfit import _arnoldi_lsq, grid_weights
+from abeluniv.cli import main as cli_main
+from abeluniv.polyfit import _arnoldi_lsq, _conj_matvec, grid_weights
 
 RNG = np.random.default_rng(991)
 
@@ -214,6 +216,19 @@ def test_least_squares_optimality_under_perturbation():
         assert wrms(perturbed) >= base - 1e-18
 
 
+def test_conj_matvec_matches_the_conjugated_copy_bitwise():
+    # the fit core reads the basis in place; its bits must stay those of the
+    # conjugated prefix copy at every width, or payloads drift silently
+    n, width = 1024, 80
+    Q = RNG.normal(size=(n, width)) + 1j * RNG.normal(size=(n, width))
+    x = RNG.normal(size=n) + 1j * RNG.normal(size=n)
+    for m in range(65):
+        got = _conj_matvec(Q, m, x)
+        want = Q[:, :m].conj().T @ x
+        assert got.shape == want.shape == (m,)
+        assert np.array_equal(got.view(float), want.view(float)), m
+
+
 # ------------------------------------------------------------------ fit_until
 
 
@@ -323,9 +338,12 @@ def test_fit_until_returns_the_refit_at_the_smallest_passing_degree(
     poly, rep = fit_until(cc, 0.016, 512)
     monkeypatch.undo()
     # each step-down pass stops at the lowest degree it can meet tol, so the
-    # descent from 256 takes few targets: 58 passes, where the bisection took
-    # 87; a descent of one degree per target would take hundreds
-    assert len(targets) <= 58
+    # descent from 256 takes few targets; round 1 of each lower target reads
+    # the base-weight columns in hand and the refit resumes the rounds at
+    # its degree: 49 passes at 2 BLAS threads and 50 at 1, where the
+    # bisection took 87; a descent of one degree per target would take
+    # hundreds
+    assert len(targets) <= 50
     assert len(set(targets) - {8, 16, 32, 64, 128, 256}) <= 6
     assert rep.degree == 218
     ref, ref_rep = fit_polynomial(cc, 218)
@@ -351,3 +369,25 @@ def test_fit_until_noisy_targets_cost_no_extra_passes(log2_stage2_compactum, mon
         fit_until(log2_stage2_compactum, 0.01, 512)
     assert len(targets) <= 56
     assert set(targets) <= {8, 16, 32, 64, 128, 256, 512}
+
+
+def test_probe_scan_setup_build_pass_count(tmp_path, monkeypatch):
+    # the series the probe-scan benchmark builds: the step-down reruns no
+    # pass, 129 at 1 and 2 BLAS threads, where rebuilding each lower
+    # target's round 1 and rerunning the refit's rounds took 160
+    targets = []
+    core = polyfit._arnoldi_lsq
+
+    def counted(z, y, w, degree, *rest):
+        targets.append(degree)
+        return core(z, y, w, degree, *rest)
+
+    monkeypatch.setattr(polyfit, "_arnoldi_lsq", counted)
+    out = str(tmp_path / "series")
+    assert cli_main(["build", "membership", "--targets", "[[[0.2,0]]]",
+                     "--arcs", "[[0.3,0.32],[3.6,3.62]]", "--stages", "3",
+                     "--density", "512", "--max-degree", "512", "--out", out]) == 0
+    monkeypatch.undo()
+    stages = json.load(open(out + ".json"))["stages"]
+    assert [len(st["coeffs"]) - 1 for st in stages] == [3, 29, 168]
+    assert len(targets) <= 129

@@ -29,7 +29,6 @@ from abeluniv import (
     lift_path,
     liftable_target,
     polynomial_roots,
-    radial_value_coverage,
     rotation,
     telescoping_errors,
     universality_scan,
@@ -302,31 +301,6 @@ def test_scan_counterexample_two_point_arcs():
     for arc in arcs:
         t = np.linspace(arc.alpha, arc.beta, 64)
         assert float(np.max(np.abs(comp(r1 * np.exp(1j * t))))) <= budget
-
-
-# radial value coverage
-
-
-def test_coverage_constant_function():
-    cov = radial_value_coverage(1.0, 1, [0.1, 0.5, 0.9], 2, [1, 1.05, 5], 0.1)
-    assert cov == pytest.approx(2.0 / 3.0)
-
-
-def test_coverage_identity_misses_outside_disc():
-    cov = radial_value_coverage(IDENT, 1, [0.1, 0.5, 0.9], 2,
-                                [1.5, 2.0, 3 + 1j], 0.2)
-    assert cov == 0.0
-
-
-def test_coverage_validation():
-    with pytest.raises(ConfigError):
-        radial_value_coverage(1.0, 2.0, [0.5, 0.75], 1, [1.0], 0.1)
-    with pytest.raises(ConfigError):
-        radial_value_coverage(1.0, 1, [0.5, 0.75], 1, [1.0], 0.0)
-    with pytest.raises(ConfigError):
-        radial_value_coverage(1.0, 1, [0.5], 1, [1.0], 0.1)
-    with pytest.raises(ConfigError):
-        radial_value_coverage(1.0, 1, [0.5, 0.75], 1, [], 0.1)
 
 
 # inverse-branch continuation
