@@ -287,6 +287,19 @@ def test_fit_until_history_rungs():
     assert degrees == [8, 16, 32]
 
 
+def count_passes(monkeypatch):
+    """The target degree of every fit-core pass from here on, in order."""
+    targets = []
+    core = polyfit._arnoldi_lsq
+
+    def counted(z, y, w, degree, *rest):
+        targets.append(degree)
+        return core(z, y, w, degree, *rest)
+
+    monkeypatch.setattr(polyfit, "_arnoldi_lsq", counted)
+    return targets
+
+
 @pytest.fixture(scope="module")
 def log2_stage2_compactum():
     # stage 2 of the two-stage log-2 membership build on the arc [0.3, 0.5]
@@ -327,14 +340,7 @@ def test_fit_until_returns_the_refit_at_the_smallest_passing_degree(
     # the step-down search ends where the fit one degree lower misses tol,
     # and hands back the plain fit_polynomial result at the degree it found
     cc = log2_stage2_compactum
-    targets = []
-    core = polyfit._arnoldi_lsq
-
-    def counted(z, y, w, degree, *rest):
-        targets.append(degree)
-        return core(z, y, w, degree, *rest)
-
-    monkeypatch.setattr(polyfit, "_arnoldi_lsq", counted)
+    targets = count_passes(monkeypatch)
     poly, rep = fit_until(cc, 0.016, 512)
     monkeypatch.undo()
     # each step-down pass stops at the lowest degree it can meet tol, so the
@@ -357,14 +363,7 @@ def test_fit_until_noisy_targets_cost_no_extra_passes(log2_stage2_compactum, mon
     # at tol 0.01 only the synthesis-free residual of target 512 meets tol;
     # no returned polynomial does, so the search must not step down below
     # any target: at most 8 reweighting passes at each of the 7 targets
-    targets = []
-    core = polyfit._arnoldi_lsq
-
-    def counted(z, y, w, degree, *rest):
-        targets.append(degree)
-        return core(z, y, w, degree, *rest)
-
-    monkeypatch.setattr(polyfit, "_arnoldi_lsq", counted)
+    targets = count_passes(monkeypatch)
     with pytest.raises(ToleranceUnreachable):
         fit_until(log2_stage2_compactum, 0.01, 512)
     assert len(targets) <= 56
@@ -375,14 +374,7 @@ def test_probe_scan_setup_build_pass_count(tmp_path, monkeypatch):
     # the series the probe-scan benchmark builds: the step-down reruns no
     # pass, 129 at 1 and 2 BLAS threads, where rebuilding each lower
     # target's round 1 and rerunning the refit's rounds took 160
-    targets = []
-    core = polyfit._arnoldi_lsq
-
-    def counted(z, y, w, degree, *rest):
-        targets.append(degree)
-        return core(z, y, w, degree, *rest)
-
-    monkeypatch.setattr(polyfit, "_arnoldi_lsq", counted)
+    targets = count_passes(monkeypatch)
     out = str(tmp_path / "series")
     assert cli_main(["build", "membership", "--targets", "[[[0.2,0]]]",
                      "--arcs", "[[0.3,0.32],[3.6,3.62]]", "--stages", "3",
