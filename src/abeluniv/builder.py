@@ -374,7 +374,7 @@ def _curve_component(phi: DiscAutomorphism, zeta: complex, which: int,
     keep = np.abs(pts) >= trim_below
     if not np.any(keep):
         return None
-    return SampledComponent("RadialCurve", pts[keep], tgt[keep], 1.0, which)
+    return SampledComponent("RadialCurve", pts[keep], tgt[keep], which)
 
 
 def _membership_stage_compactum(cfg: BuildConfig, n: int, f_prev: ComplexPolynomial,

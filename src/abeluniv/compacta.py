@@ -2,7 +2,7 @@
 and labeled unions of them.
 
 A SampledComponent is a point grid inside the open unit disc with an
-optional complex target per point and a fit weight. CompoundCompactum
+optional complex target per point. CompoundCompactum
 bundles components and records the true minimum pairwise distance between
 them, recomputed on construction. Grid suprema certify grid suprema only.
 """
@@ -32,7 +32,6 @@ class SampledComponent:
     kind: str
     points: np.ndarray
     target: Optional[np.ndarray] = None
-    weight: float = 1.0
     which: Optional[int] = None   # witness curve index, for RadialCurve
 
     def __post_init__(self):
@@ -51,12 +50,10 @@ class SampledComponent:
             if tgt.shape != pts.shape:
                 raise ConfigError("target length must equal points length")
             self.target = tgt
-        if not (self.weight > 0 and math.isfinite(self.weight)):
-            raise ConfigError("weight must be positive and finite")
 
     def with_target(self, values) -> "SampledComponent":
         return SampledComponent(self.kind, self.points.copy(), np.asarray(values, dtype=complex),
-                                self.weight, self.which)
+                                self.which)
 
 
 @dataclass

@@ -12,12 +12,12 @@ because the residual is measured on the returned representation, that
 failure mode shows up honestly as a plateau instead of a fake success.
 
 The Arnoldi columns are nested in degree, so one pass up to a target
-degree holds the fit at every lower degree: fit_until doubles the target
-until a pass meets the tolerance, then steps it down (see fit_until).
-The step-down reruns no pass: round 1 of every lower target reads its fit
-from the base-weight columns of the widest pass in hand, and the final
-refit resumes the reweighting rounds that the fit at its degree already
-ran.
+degree holds the fit at every lower degree. fit_until doubles the target
+until a fit meets the tolerance, then steps it down (see fit_until).
+Round 1 of every fit in that search goes through one base-weight pass
+(_Pass): each higher target grows its columns, each lower target and the
+final refit read them, and the refit resumes the reweighting rounds that
+the fit at its degree already ran.
 """
 
 from __future__ import annotations
@@ -114,10 +114,10 @@ def poly_from_pairs(pairs) -> ComplexPolynomial:
 
 
 def grid_weights(cc: CompoundCompactum) -> np.ndarray:
-    """Per-point weights: component.weight split evenly over the component's
-    samples, normalized to sum 1, so a short arc and a dense circle have
-    equal voice by default."""
-    parts = [np.full(len(c.points), c.weight / len(c.points)) for c in cc.components]
+    """Per-point weights: 1 split evenly over each component's samples,
+    normalized to sum 1, so a short arc and a dense circle have equal
+    voice."""
+    parts = [np.full(len(c.points), 1.0 / len(c.points)) for c in cc.components]
     w = np.concatenate(parts)
     return w / w.sum()
 
@@ -136,97 +136,99 @@ def _conj_matvec(Q: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
     return (Q[:, :m].T @ x.conj()).conj()
 
 
-def _fit_at(Q: np.ndarray, C: np.ndarray, z: np.ndarray, y: np.ndarray,
-            wy: np.ndarray, m: int, basis_sup: float):
-    """The fit at degree m from basis columns 0..m, as _arnoldi_lsq returns
-    it."""
-    d = _conj_matvec(Q, m + 1, wy)
-    Cm = C[:m + 1, :m + 1]
-    coeffs = Cm @ d
-    res = None
-    if np.all(np.isfinite(coeffs.view(float))):
-        res = np.abs(evaluate(ComplexPolynomial(coeffs), z) - y)
-    return coeffs, float(np.max(np.sum(np.abs(Cm), axis=0))), basis_sup, res
+class _Pass:
+    """One Arnoldi pass at fixed weights w, grown column by column.
+
+    Basis columns are built from q_0 = 1 by the shift recurrence
+    v = z * q_{m-1} and modified Gram-Schmidt with one reorthogonalization
+    pass against the weighted inner product; monomial coefficients of each
+    basis vector are synthesized alongside (C). Raw monomial normal
+    equations are never formed. The inner products read the basis in place
+    (_conj_matvec). Column m takes its weighted share <q_m, y> off the
+    running residual r of the orthogonal fit, and sups[m] is max|r| there.
+
+    fit(degree, tol) returns the bits of a fresh pass to degree, which
+    stops at m = degree, or with tol given at the first m where max|r| and
+    the synthesized polynomial's own residual both meet tol. A degree the
+    pass has reached is read from the columns in hand; a higher one
+    reallocates Q and C at width degree + 1, the shapes a fresh pass
+    allocates, copies the prefix and resumes the column loop. All fits
+    with tol on one pass give the same tol. A BasisBreakdown leaves the
+    pass as it was."""
+
+    def __init__(self, z: np.ndarray, y: np.ndarray, w: np.ndarray):
+        self.z, self.y, self.w, self.wy = z, y, w, w * y
+        self.Q = np.zeros((len(z), 0), dtype=complex)
+        self.C = np.zeros((0, 0), dtype=complex)
+        self.sups = np.zeros(0)
+        self.r = y.copy()
+        self.met = False   # tol met at the last column, where the pass stopped
+
+    def _at(self, Q: np.ndarray, C: np.ndarray, sups: np.ndarray, m: int):
+        """(monomial coefficients, max synthesis column growth, max|r|,
+        |p(z) - y|) at degree m from columns 0..m, the last None when
+        synthesis overflowed."""
+        d = _conj_matvec(Q, m + 1, self.wy)
+        Cm = C[:m + 1, :m + 1]
+        coeffs = Cm @ d
+        res = None
+        if np.all(np.isfinite(coeffs.view(float))):
+            res = np.abs(evaluate(ComplexPolynomial(coeffs), self.z) - self.y)
+        return coeffs, float(np.max(np.sum(np.abs(Cm), axis=0))), float(sups[m]), res
+
+    def fit(self, degree: int, tol: Optional[float] = None):
+        top = len(self.sups) - 1
+        if degree <= top or (self.met and tol is not None):
+            return self._at(self.Q, self.C, self.sups, min(degree, top))
+        z, w, n = self.z, self.w, len(self.z)
+        sw = np.sqrt(w)
+        Q = np.zeros((n, degree + 1), dtype=complex)
+        C = np.zeros((degree + 1, degree + 1), dtype=complex)
+        sups = np.zeros(degree + 1)
+        Q[:, :top + 1] = self.Q[:, :top + 1]
+        C[:top + 1, :top + 1] = self.C[:top + 1, :top + 1]
+        sups[:top + 1] = self.sups
+        r = self.r.copy()
+        for m in range(top + 1, degree + 1):
+            # the shift reads a contiguous copy, as it read v when m - 1 was built
+            v = z * Q[:, m - 1].copy() if m else np.ones(n, dtype=complex)
+            c = np.roll(C[:, m - 1], 1) if m else np.zeros(degree + 1, dtype=complex)
+            c[0] = 0.0 if m else 1.0
+            before = float(np.linalg.norm(sw * v))
+            for _ in range(2):
+                h = _conj_matvec(Q, m, w * v)
+                v = v - Q[:, :m] @ h
+                c = c - C[:, :m] @ h
+            nv = float(np.linalg.norm(sw * v))
+            if nv < 1e-14 * max(before, 1e-300):
+                raise BasisBreakdown(
+                    f"orthogonalization norm underflow at column {m}; degenerate grid")
+            v /= nv
+            Q[:, m] = v
+            C[:, m] = c / nv
+            r -= np.vdot(v, self.wy) * v
+            sups[m] = float(np.max(np.abs(r)))
+            met = tol is not None and sups[m] <= tol
+            if m == degree or met:
+                fit = self._at(Q, C, sups, m)
+                met = met and fit[3] is not None and float(fit[3].max()) <= tol
+                if m == degree or met:
+                    self.Q, self.C, self.sups, self.r, self.met = Q, C, sups[:m + 1], r, met
+                    return fit
 
 
 @dataclass
 class _Search:
     """What the fits of one fit_until search (one tol) share.
 
-    columns is (Q, C, running max|r| per degree, w * y) of the widest
-    base-weight pass with tol so far. That pass met tol at no degree below
-    its last, so round 1 of a fit at any degree m it reaches, with this tol
-    or none, is its fit at m (read) and builds no column. rounds maps a
-    degree to the state after the passing round of a fit with tol whose
-    rounds all ran to that degree: the fit without tol there ran the same
-    rounds, and resumes after them."""
+    base is the base-weight pass of round 1 of every fit in the search:
+    ladder targets grow it, step-down targets and the final refit read it.
+    rounds maps a degree to the state after the passing round of a fit
+    with tol whose rounds all ran to that degree: the fit without tol there
+    ran the same rounds, and resumes after them."""
 
-    columns: Optional[tuple] = None
+    base: Optional[_Pass] = None
     rounds: dict = field(default_factory=dict)
-
-    def read(self, degree: int, z: np.ndarray, y: np.ndarray):
-        """Round 1's fit at degree from the columns in hand, or None."""
-        if self.columns is None or degree >= len(self.columns[2]):
-            return None
-        Q, C, sups, wy = self.columns
-        return _fit_at(Q, C, z, y, wy, degree, float(sups[degree]))
-
-
-def _arnoldi_lsq(z: np.ndarray, y: np.ndarray, w: np.ndarray, degree: int,
-                 tol: Optional[float] = None, search: Optional[_Search] = None
-                 ) -> Tuple[np.ndarray, float, float, Optional[np.ndarray]]:
-    """Least squares min sum w |p(z) - y|^2 over deg p <= m, the stop degree.
-
-    Basis columns are built from q_0 = 1 by the shift recurrence
-    v = z * q_{m-1} and modified Gram-Schmidt with one reorthogonalization
-    pass against the weighted inner product; monomial coefficients of each
-    basis vector are synthesized alongside. Raw monomial normal equations
-    are never formed. The inner products read the basis in place as
-    conj(Q^T conj(x)), with the bits of a conjugated copy; at a single
-    column numpy's strided path rounds differently, so that one takes
-    np.dot of the conjugated column (_conj_matvec). Column m takes its
-    weighted share <q_m, y> off the residual r of the orthogonal fit. The
-    pass stops at m = degree, or with tol given at the first m where max|r|
-    and the synthesized polynomial's own residual both meet tol. Returns
-    (monomial coefficients, max synthesis column growth, max|r|,
-    |p(z) - y|), the last None when synthesis overflowed. With tol and
-    search given, the pass leaves its columns in search.columns.
-    """
-    n = len(z)
-    sw = np.sqrt(w)
-    wy = w * y
-    Q = np.zeros((n, degree + 1), dtype=complex)
-    C = np.zeros((degree + 1, degree + 1), dtype=complex)
-    sups = np.zeros(degree + 1)
-    v = np.ones(n, dtype=complex)
-    c = np.zeros(degree + 1, dtype=complex)
-    c[0] = 1.0
-    r = y.copy()
-    for m in range(degree + 1):
-        before = float(np.linalg.norm(sw * v))
-        for _ in range(2):
-            h = _conj_matvec(Q, m, w * v)
-            v = v - Q[:, :m] @ h
-            c = c - C[:, :m] @ h
-        nv = float(np.linalg.norm(sw * v))
-        if nv < 1e-14 * max(before, 1e-300):
-            raise BasisBreakdown(
-                f"orthogonalization norm underflow at column {m}; degenerate grid")
-        v /= nv
-        Q[:, m] = v
-        C[:, m] = c / nv
-        r -= np.vdot(v, wy) * v
-        sups[m] = float(np.max(np.abs(r)))
-        if m == degree or (tol is not None and sups[m] <= tol):
-            fit = _fit_at(Q, C, z, y, wy, m, float(sups[m]))
-            res = fit[3]
-            if m == degree or (res is not None and float(res.max()) <= tol):
-                if search is not None and tol is not None:
-                    search.columns = (Q, C, sups[:m + 1], wy)
-                return fit
-        v = z * v
-        c = np.roll(C[:, m], 1)
-        c[0] = 0.0
 
 
 def fit_polynomial(cc: CompoundCompactum, degree: int, *,
@@ -253,26 +255,24 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
     if len(pts) < degree + 1:
         raise UnderdeterminedFit(f"{len(pts)} samples cannot determine degree {degree}")
 
-    slices = []
-    start = 0
-    for c in cc.components:
-        slices.append(slice(start, start + len(c.points)))
-        start += len(c.points)
+    sizes = [len(c.points) for c in cc.components]
+    slices = [slice(end - n, end) for end, n in zip(np.cumsum(sizes), sizes)]
     base = grid_weights(cc)
 
     best, basis_sup, scale, first = None, math.inf, np.ones(len(cc.components)), 0
     if search is not None and tol is None and degree in search.rounds:
         best, basis_sup, scale, first = search.rounds[degree]
     for k in range(first, 8):
+        w = base.copy()
+        for i, sl in enumerate(slices):
+            w[sl] *= scale[i]
+        w = w / w.sum()
+        if k > 0 or search is None:
+            core = _Pass(pts, tgt, w)
+        else:
+            core = search.base = search.base or _Pass(pts, tgt, w)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            fit = search.read(degree, pts, tgt) if k == 0 and search is not None else None
-            if fit is None:
-                w = base.copy()
-                for i, sl in enumerate(slices):
-                    w[sl] *= scale[i]
-                w = w / w.sum()
-                fit = _arnoldi_lsq(pts, tgt, w, degree, tol, search if k == 0 else None)
-        coeffs, growth, round_basis_sup, res = fit
+            coeffs, growth, round_basis_sup, res = core.fit(degree, tol)
         basis_sup = min(basis_sup, round_basis_sup)
         if res is None or not math.isfinite(growth):
             # monomial synthesis overflowed: the orthogonal fit exists but
@@ -285,7 +285,10 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
         comp_sup = np.array([float(res[sl].max()) for sl in slices])
         sup = float(comp_sup.max())
         if best is None or sup < best[0]:
-            rms = float(np.sqrt(np.mean(res ** 2)))
+            with np.errstate(over="ignore"):
+                rms = float(np.sqrt(np.mean(res ** 2)))
+            if math.isinf(rms) and sup < math.inf:   # res ** 2 overflowed
+                rms = sup * float(np.sqrt(np.mean((res / sup) ** 2)))
             best = (sup, rms, growth, poly)
         else:
             break
@@ -316,12 +319,7 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
     if tol <= 0:
         raise ConfigError("tol must be positive")
     top = min(max_degree, sum(len(c.points) for c in cc.components) - 1)
-    ladder = []
-    d = 8
-    while d < top:
-        ladder.append(d)
-        d *= 2
-    ladder.append(top)
+    ladder = [8 << k for k in range(64) if 8 << k < top] + [top]
 
     history = []
     best = None

@@ -232,20 +232,22 @@ def _as_inverse_pair(g) -> Tuple[Callable, Callable]:
 def _damped_newton(gf, dg, h0: complex, w: complex, tol: float,
                    iters: int = 40) -> Tuple[complex, float, bool]:
     h = h0
-    res = abs(gf(h) - w)
+    e = gf(h) - w
+    res = abs(e)
     for _ in range(iters):
         if res <= tol:
             return h, res, True
         d = dg(h)
         if abs(d) < 1e-14:
             return h, res, False
-        step = (gf(h) - w) / d
+        step = e / d
         lam = 1.0
         while lam >= 1.0 / 64:
             cand = h - lam * step
-            rc = abs(gf(cand) - w)
+            ec = gf(cand) - w
+            rc = abs(ec)
             if rc < res:
-                h, res = cand, rc
+                h, e, res = cand, ec, rc
                 break
             lam *= 0.5
         else:
@@ -254,27 +256,28 @@ def _damped_newton(gf, dg, h0: complex, w: complex, tol: float,
 
 
 def _advance(gf, dg, h: complex, w_cur: complex, w_next: complex,
-             tol: float) -> Tuple[bool, complex]:
-    """One predictor-corrector step; rejects when the derivative is too
+             tol: float) -> Optional[Tuple[complex, float]]:
+    """One predictor-corrector step: the new sample and the corrector's
+    final residual |g(h_new) - w_next|, or None when the derivative is too
     small, the corrector fails, the step leaves the predictor's locality,
     or the midpoint of the linear interpolant falls off the path."""
     d = dg(h)
     if abs(d) < 1e-8:
-        return False, h
+        return None
     h_pred = h + (w_next - w_cur) / d
     if not (math.isfinite(h_pred.real) and math.isfinite(h_pred.imag)):
-        return False, h
-    h_new, _, ok = _damped_newton(gf, dg, h_pred, w_next, tol)
+        return None
+    h_new, res, ok = _damped_newton(gf, dg, h_pred, w_next, tol)
     if not ok:
-        return False, h
+        return None
     if abs(h_new - h_pred) > 0.5 * abs(h_pred - h) + tol:
-        return False, h
+        return None
     mid_defect = abs(gf(0.5 * (h + h_new)) - 0.5 * (w_cur + w_next))
     if mid_defect > 3.0 * tol:
         # linear resampling between samples must stay a small multiple of
         # tol off the path, so the step size is capped by curvature
-        return False, h
-    return True, h_new
+        return None
+    return h_new, res
 
 
 def _march_segment(gf, dg, h: complex, w_a: complex, w_b: complex,
@@ -293,11 +296,11 @@ def _march_segment(gf, dg, h: complex, w_a: complex, w_b: complex,
         d = min(step, length - pos)
         w_cur = w_a + direction * pos
         w_next = w_a + direction * (pos + d)
-        ok, h_new = _advance(gf, dg, h, w_cur, w_next, tol)
-        if ok:
-            h = h_new
+        taken = _advance(gf, dg, h, w_cur, w_next, tol)
+        if taken is not None:
+            h, res = taken
             pos += d
-            record(pos / length, h, w_next)
+            record(pos / length, h, w_next, res)
             if abs(h) > 1e6:
                 return h, "diverged"
             step = min(step * 2.0, init)
@@ -326,17 +329,18 @@ def lift_path(g, path: Sequence[complex], start: complex, tol: float) -> LiftRes
             f"start is not a branch point: |g(start) - path[0]| = {d0:.3e} > {tol}")
     lengths = [abs(b - a) for a, b in zip(pts, pts[1:])]
     total = sum(lengths)
-    ts, hs, ws = [0.0], [start], [pts[0]]
+    ts, hs, ws, defects = [0.0], [start], [pts[0]], [d0]
     status = LiftStatus("complete")
     if total > 0:
         min_step = 1e-6 * total
         h = start
         done = 0.0
         for (a, b), seg in zip(zip(pts, pts[1:]), lengths):
-            def record(frac, hh, ww, _done=done, _seg=seg):
+            def record(frac, hh, ww, res, _done=done, _seg=seg):
                 ts.append((_done + frac * _seg) / total)
                 hs.append(hh)
                 ws.append(ww)
+                defects.append(res)
             h, stop = _march_segment(gf, dg, h, a, b, tol, min_step, record)
             if stop is not None:
                 status = LiftStatus(stop, len(hs) - 1)
@@ -345,8 +349,7 @@ def lift_path(g, path: Sequence[complex], start: complex, tol: float) -> LiftRes
     t = np.asarray(ts)
     values = np.asarray(hs, dtype=complex)
     targets = np.asarray(ws, dtype=complex)
-    defect = float(np.max(np.abs(np.array([gf(h) for h in hs]) - targets)))
-    return LiftResult(t, values, targets, defect, status)
+    return LiftResult(t, values, targets, max(defects), status)
 
 
 def branch_obstructions(g) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from abeluniv import (
+    BasisBreakdown,
     BuildConfig,
     ComplexPolynomial,
     ConfigError,
@@ -37,7 +38,7 @@ from abeluniv import polyfit
 from abeluniv.builder import _membership_stage_compactum
 from abeluniv.compacta import SampledComponent
 from abeluniv.cli import main as cli_main
-from abeluniv.polyfit import _arnoldi_lsq, _conj_matvec, grid_weights
+from abeluniv.polyfit import _Pass, _conj_matvec, grid_weights
 
 RNG = np.random.default_rng(991)
 
@@ -188,6 +189,18 @@ def test_fit_report_scaling_consistency():
     assert rep.sup_error >= rep.rms_error / math.sqrt(90) - 1e-15
 
 
+def test_fit_report_rms_of_a_huge_residual_is_finite():
+    # a residual near 5e159 squares past the double range; its rms is
+    # still about 5e159, and the fit must not warn
+    pts = circle_grid(0.5, 64)
+    cc = union(comp_with_values(pts, 1e160 * pts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rep = fit_polynomial(cc, 0)
+    assert math.isfinite(rep.rms_error)
+    assert abs(rep.rms_error / 5e159 - 1) < 1e-12
+
+
 def test_least_squares_optimality_under_perturbation():
     # one pass of the fit core at the documented default weights is the
     # weighted l2 minimizer at that degree
@@ -197,11 +210,11 @@ def test_least_squares_optimality_under_perturbation():
 
     pts = np.concatenate([c.points for c in cc.components])
     tgt = np.concatenate([c.target for c in cc.components])
-    w = np.concatenate([np.full(len(c.points), c.weight / len(c.points))
+    w = np.concatenate([np.full(len(c.points), 1.0 / len(c.points))
                         for c in cc.components])
     w = w / w.sum()
     assert np.array_equal(w, grid_weights(cc))
-    coeffs, _, _, _ = _arnoldi_lsq(pts, tgt, w, 12)
+    coeffs, _, _, _ = _Pass(pts, tgt, w).fit(12)
     assert len(coeffs) == 13
 
     def wrms(coeffs):
@@ -227,6 +240,38 @@ def test_conj_matvec_matches_the_conjugated_copy_bitwise():
         want = Q[:, :m].conj().T @ x
         assert got.shape == want.shape == (m,)
         assert np.array_equal(got.view(float), want.view(float)), m
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9])
+def test_grown_pass_matches_a_fresh_pass_bitwise(tol):
+    # round 1 of every fit in a degree search goes through one growing
+    # pass; at every ladder target it must return the bits of a fresh pass
+    # to that target. At tol 1e-9 the pass stops at degree 31, and the
+    # targets above read the fit there, as a fresh pass would stop there.
+    disc = sample_disc_constraint(0.5, 512)
+    arc = sample_dilated_arc(UnitCircleArc(0.0, math.pi / 2), 0.9, 512)
+    cc = union(*(c.with_target(1 / (c.points - 1.5)) for c in (disc, arc)))
+    pts = np.concatenate([c.points for c in cc.components])
+    tgt = np.concatenate([c.target for c in cc.components])
+    w = grid_weights(cc)
+    grown = _Pass(pts, tgt, w)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for d in (8, 16, 32, 64, 128, 256):
+            got, want = grown.fit(d, tol), _Pass(pts, tgt, w).fit(d, tol)
+            assert np.array_equal(got[0].view(float), want[0].view(float)), d
+            assert got[1:3] == want[1:3], d
+            assert len(got[0]) - 1 == (d if tol is None or d < 32 else 31)
+
+
+def test_basis_breakdown_leaves_the_pass_as_it_was():
+    # 20 points on a circle hold no independent column past degree 19
+    pts = circle_grid(0.5, 20)
+    core = _Pass(pts, np.exp(pts), np.full(20, 1 / 20))
+    core.fit(16)
+    for d in (25, 30):
+        with pytest.raises(BasisBreakdown, match="at column 20"):
+            core.fit(d)
+        assert len(core.sups) == 17
 
 
 # ------------------------------------------------------------------ fit_until
@@ -288,16 +333,22 @@ def test_fit_until_history_rungs():
 
 
 def count_passes(monkeypatch):
-    """The target degree of every fit-core pass from here on, in order."""
-    targets = []
-    core = polyfit._arnoldi_lsq
+    """The target degree of every fit-core call that builds basis columns
+    from here on, in order, and the number of columns each built."""
+    targets, columns = [], []
+    fit = polyfit._Pass.fit
 
-    def counted(z, y, w, degree, *rest):
-        targets.append(degree)
-        return core(z, y, w, degree, *rest)
+    def counted(self, degree, tol=None):
+        before = len(self.sups)
+        try:
+            return fit(self, degree, tol)
+        finally:
+            if len(self.sups) > before:
+                targets.append(degree)
+                columns.append(len(self.sups) - before)
 
-    monkeypatch.setattr(polyfit, "_arnoldi_lsq", counted)
-    return targets
+    monkeypatch.setattr(polyfit._Pass, "fit", counted)
+    return targets, columns
 
 
 @pytest.fixture(scope="module")
@@ -340,7 +391,7 @@ def test_fit_until_returns_the_refit_at_the_smallest_passing_degree(
     # the step-down search ends where the fit one degree lower misses tol,
     # and hands back the plain fit_polynomial result at the degree it found
     cc = log2_stage2_compactum
-    targets = count_passes(monkeypatch)
+    targets, _ = count_passes(monkeypatch)
     poly, rep = fit_until(cc, 0.016, 512)
     monkeypatch.undo()
     # each step-down pass stops at the lowest degree it can meet tol, so the
@@ -363,7 +414,7 @@ def test_fit_until_noisy_targets_cost_no_extra_passes(log2_stage2_compactum, mon
     # at tol 0.01 only the synthesis-free residual of target 512 meets tol;
     # no returned polynomial does, so the search must not step down below
     # any target: at most 8 reweighting passes at each of the 7 targets
-    targets = count_passes(monkeypatch)
+    targets, _ = count_passes(monkeypatch)
     with pytest.raises(ToleranceUnreachable):
         fit_until(log2_stage2_compactum, 0.01, 512)
     assert len(targets) <= 56
@@ -373,8 +424,10 @@ def test_fit_until_noisy_targets_cost_no_extra_passes(log2_stage2_compactum, mon
 def test_probe_scan_setup_build_pass_count(tmp_path, monkeypatch):
     # the series the probe-scan benchmark builds: the step-down reruns no
     # pass, 129 at 1 and 2 BLAS threads, where rebuilding each lower
-    # target's round 1 and rerunning the refit's rounds took 160
-    targets = count_passes(monkeypatch)
+    # target's round 1 and rerunning the refit's rounds took 160; each
+    # ladder target grows the base-weight pass of the one below, 11,442
+    # columns where rebuilding it from column 0 took 11,721
+    targets, columns = count_passes(monkeypatch)
     out = str(tmp_path / "series")
     assert cli_main(["build", "membership", "--targets", "[[[0.2,0]]]",
                      "--arcs", "[[0.3,0.32],[3.6,3.62]]", "--stages", "3",
@@ -383,3 +436,4 @@ def test_probe_scan_setup_build_pass_count(tmp_path, monkeypatch):
     stages = json.load(open(out + ".json"))["stages"]
     assert [len(st["coeffs"]) - 1 for st in stages] == [3, 29, 168]
     assert len(targets) <= 129
+    assert sum(columns) <= 11442
