@@ -221,12 +221,29 @@ class LiftResult:
         return complex(self.values[-1])
 
 
+def _horner(p: ComplexPolynomial) -> Callable[[complex], complex]:
+    top, *rest = p.coeffs[::-1]
+
+    def value(z: complex) -> complex:
+        acc = top
+        for c in rest:
+            acc = acc * z + c
+        return acc
+    return value
+
+
 def _as_inverse_pair(g) -> Tuple[Callable, Callable]:
-    """(g, g') as scalar functions of an outer map read by _outer_map."""
+    """(g, g') as scalar functions of an outer map read by _outer_map.
+
+    A polynomial pair runs Horner's rule in plain Python complex
+    arithmetic, the operation order of `evaluate` without its numpy
+    round trip. Its values are IEEE scalar arithmetic and so do not
+    depend on the CPU's SIMD dispatch, but they are not always the bits
+    `evaluate` gives: numpy's complex-multiply loop may fuse multiply-adds
+    and round differently in the last place."""
     if g == "exp":
         return cmath.exp, cmath.exp
-    der = derivative(g)
-    return (lambda z: evaluate(g, z)), (lambda z: evaluate(der, z))
+    return _horner(g), _horner(derivative(g))
 
 
 def _damped_newton(gf, dg, h0: complex, w: complex, tol: float,
@@ -255,29 +272,34 @@ def _damped_newton(gf, dg, h0: complex, w: complex, tol: float,
     return h, res, res <= tol
 
 
+_REJECTED = (None, None, None)
+
+
 def _advance(gf, dg, h: complex, w_cur: complex, w_next: complex,
-             tol: float) -> Optional[Tuple[complex, float]]:
-    """One predictor-corrector step: the new sample and the corrector's
-    final residual |g(h_new) - w_next|, or None when the derivative is too
-    small, the corrector fails, the step leaves the predictor's locality,
-    or the midpoint of the linear interpolant falls off the path."""
+             tol: float) -> Tuple[Optional[complex], Optional[float], Optional[float]]:
+    """One predictor-corrector step: (h_new, res, mid_defect), where res is
+    the corrector's final residual |g(h_new) - w_next| and mid_defect the
+    distance of the linear interpolant's midpoint from the path. h_new is
+    None when the midpoint falls too far off the path, and mid_defect is
+    None as well when the derivative is too small, the corrector fails or
+    the step leaves the predictor's locality."""
     d = dg(h)
     if abs(d) < 1e-8:
-        return None
+        return _REJECTED
     h_pred = h + (w_next - w_cur) / d
     if not (math.isfinite(h_pred.real) and math.isfinite(h_pred.imag)):
-        return None
+        return _REJECTED
     h_new, res, ok = _damped_newton(gf, dg, h_pred, w_next, tol)
     if not ok:
-        return None
+        return _REJECTED
     if abs(h_new - h_pred) > 0.5 * abs(h_pred - h) + tol:
-        return None
+        return _REJECTED
     mid_defect = abs(gf(0.5 * (h + h_new)) - 0.5 * (w_cur + w_next))
     if mid_defect > 3.0 * tol:
         # linear resampling between samples must stay a small multiple of
         # tol off the path, so the step size is capped by curvature
-        return None
-    return h_new, res
+        return None, None, mid_defect
+    return h_new, res, mid_defect
 
 
 def _march_segment(gf, dg, h: complex, w_a: complex, w_b: complex,
@@ -296,18 +318,26 @@ def _march_segment(gf, dg, h: complex, w_a: complex, w_b: complex,
         d = min(step, length - pos)
         w_cur = w_a + direction * pos
         w_next = w_a + direction * (pos + d)
-        taken = _advance(gf, dg, h, w_cur, w_next, tol)
-        if taken is not None:
-            h, res = taken
+        h_new, res, mid_defect = _advance(gf, dg, h, w_cur, w_next, tol)
+        if mid_defect is None:
+            factor = 0.5
+        elif mid_defect == 0:
+            factor = 2.0
+        else:
+            # the midpoint defect grows as the square of the step: aim the
+            # next one at 0.9^2 of the 3 tol the acceptance test allows
+            factor = min(2.0, 0.9 * math.sqrt(3.0 * tol / mid_defect))
+        if h_new is not None:
+            h = h_new
             pos += d
             record(pos / length, h, w_next, res)
             if abs(h) > 1e6:
                 return h, "diverged"
-            step = min(step * 2.0, init)
+            step = min(step * factor, init)
         else:
             if step <= min_step:
                 return h, "critical-point"
-            step = max(step * 0.5, min_step)
+            step = max(step * factor, min_step)
     return h, None
 
 
@@ -486,8 +516,8 @@ def liftable_target(g, arc: UnitCircleArc, h, eps: float,
         h0_re = np.interp(frac, res.t, res.values.real)
         h0_im = np.interp(frac, res.t, res.values.imag)
         h0 = h0_re + 1j * h0_im
-        defect = float(np.max(np.abs(
-            np.array([gf(v) for v in h0]) - h_of(dense))))
+        gh0 = np.exp(h0) if g == "exp" else evaluate(g, h0)
+        defect = float(np.max(np.abs(gh0 - h_of(dense))))
         if defect < eps:
             lifted = LiftedTarget(dense, h0, np.asarray(nodes, dtype=complex))
             return lifted, defect

@@ -33,6 +33,7 @@ from abeluniv import (
     telescoping_errors,
     universality_scan,
 )
+from abeluniv import probe
 from abeluniv.probe import (DilateReport, dilate_report_to_csv,
                             lift_result_to_csv, lift_result_to_json)
 
@@ -362,6 +363,43 @@ def test_lift_validation():
         lift_path(SQUARE, [1, 4], 3, 1e-8)  # start not a branch point
     with pytest.raises(ConfigError):
         lift_path({"bad": 1}, [1, 4], 1, 1e-8)
+
+
+def test_lift_steps_are_sized_from_the_midpoint_defect(monkeypatch):
+    calls = []
+    advance = probe._advance
+
+    def counted(*args):
+        calls.append(1)
+        return advance(*args)
+    monkeypatch.setattr(probe, "_advance", counted)
+    tol = 1e-10
+    res = lift_path(SQUARE, [1, 4], 1, tol)
+    assert res.status.complete
+    # doubling and rejecting took two steps per sample
+    assert len(calls) <= 1.05 * (len(res.t) - 1)
+    mid_h = 0.5 * (res.values[1:] + res.values[:-1])
+    mid_w = 0.5 * (res.targets[1:] + res.targets[:-1])
+    mid_defect = np.abs(evaluate(SQUARE, mid_h) - mid_w)
+    assert float(np.max(mid_defect)) <= 3 * tol * (1 + 1e-6)
+
+
+def test_inverse_pair_horner_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    g = ComplexPolynomial(coeffs)
+    gf, dg = probe._as_inverse_pair(g)
+    exact = [mpmath.mpc(c.real, c.imag) for c in g.coeffs]
+    exact_der = [k * c for k, c in enumerate(exact)][1:]
+    pts = 2.0 * (rng.uniform(-1, 1, 1000) + 1j * rng.uniform(-1, 1, 1000))
+    ulp = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for z in map(complex, pts):
+            for fn, cs in ((gf, exact), (dg, exact_der)):
+                ref = mpmath.polyval(cs[::-1], mpmath.mpc(z.real, z.imag))
+                scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(cs))
+                assert abs(fn(z) - ref) <= 8 * ulp * scale
 
 
 def test_branch_obstructions():
