@@ -333,11 +333,11 @@ def _march_segment(gf, dg, h: complex, w_a: complex, w_b: complex,
             record(pos / length, h, w_next, res)
             if abs(h) > 1e6:
                 return h, "diverged"
-            step = min(step * factor, init)
-        else:
-            if step <= min_step:
-                return h, "critical-point"
-            step = max(step * factor, min_step)
+        elif step <= min_step:
+            return h, "critical-point"
+        # an accepted step may shrink too, so both branches keep the step
+        # within [min_step, init]
+        step = max(min(step * factor, init), min_step)
     return h, None
 
 

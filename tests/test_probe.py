@@ -24,6 +24,7 @@ from abeluniv import (
     build_membership_series,
     compose_left,
     compose_right,
+    derivative,
     dilate_distance,
     evaluate,
     lift_path,
@@ -384,22 +385,24 @@ def test_lift_steps_are_sized_from_the_midpoint_defect(monkeypatch):
     assert float(np.max(mid_defect)) <= 3 * tol * (1 + 1e-6)
 
 
-def test_inverse_pair_horner_matches_mpmath():
-    mpmath = pytest.importorskip("mpmath")
+def test_lift_steps_stay_above_the_minimum_near_a_critical_point():
+    # at this tol the curvature near the critical value 0 asks for steps
+    # below the minimum (1e-6 of the path length); the lift stops instead
+    res = lift_path(SQUARE, [1, -1], 1, 1e-10)
+    assert res.status.kind == "critical-point"
+    assert float(np.min(np.diff(res.t))) >= 1e-6 * (1 - 1e-9)
+
+
+def test_inverse_pair_horner_matches_evaluate():
     rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    g = ComplexPolynomial(coeffs)
+    g = ComplexPolynomial(rng.standard_normal(6) + 1j * rng.standard_normal(6))
     gf, dg = probe._as_inverse_pair(g)
-    exact = [mpmath.mpc(c.real, c.imag) for c in g.coeffs]
-    exact_der = [k * c for k, c in enumerate(exact)][1:]
     pts = 2.0 * (rng.uniform(-1, 1, 1000) + 1j * rng.uniform(-1, 1, 1000))
     ulp = np.finfo(float).eps
-    with mpmath.workdps(50):
-        for z in map(complex, pts):
-            for fn, cs in ((gf, exact), (dg, exact_der)):
-                ref = mpmath.polyval(cs[::-1], mpmath.mpc(z.real, z.imag))
-                scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(cs))
-                assert abs(fn(z) - ref) <= 8 * ulp * scale
+    for fn, p in ((gf, g), (dg, derivative(g))):
+        got = np.array([fn(z) for z in map(complex, pts)])
+        scale = sum(abs(c) * np.abs(pts) ** k for k, c in enumerate(p.coeffs))
+        assert np.all(np.abs(got - evaluate(p, pts)) <= 8 * ulp * scale)
 
 
 def test_branch_obstructions():
