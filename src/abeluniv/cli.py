@@ -102,11 +102,15 @@ def _arc_list(spec, default):
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return probe._compact_json(payload) + "\n"
+
+
+def _open(path: str):
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open(path) as fh:
         fh.write(text)
 
 
@@ -194,8 +198,7 @@ def _resolve_schedules(args, N: int):
 
 
 def _stage_csv(series, config: dict) -> str:
-    lines = ["# config " + json.dumps(config, sort_keys=True, separators=(",", ":")),
-             "n,case,degree,sup_error,eps_n"]
+    lines = [probe._config_comment(config), "n,case,degree,sup_error,eps_n"]
     for s in series.stages:
         lines.append(f"{s.n},{s.case},{s.fit.degree},{s.fit.sup_error!r},"
                      f"{s.info['eps']!r}")
@@ -400,8 +403,8 @@ def cmd_lift(args) -> int:
         lifted, defect = probe.liftable_target(g, arc, target, args.eps, args.nodes)
         payload = {"config": config, "defect": defect,
                    "nodes": [[w.real, w.imag] for w in lifted.node_targets],
-                   "samples": [[float(a), v.real, v.imag]
-                               for a, v in zip(lifted.angles, lifted.values)]}
+                   "samples": list(zip(lifted.angles.tolist(), lifted.values.real.tolist(),
+                                       lifted.values.imag.tolist()))}
         if args.out:
             _write(args.out + ".json", _dump_json(payload))
             _write_meta(args.out, started)
@@ -417,8 +420,8 @@ def cmd_lift(args) -> int:
                    "start": [start.real, start.imag], "tol": args.tol})
     result = probe.lift_path(g, path, start, args.tol)
     if args.out:
-        _write(args.out + ".json", probe.lift_result_to_json(result, config))
-        _write(args.out + ".csv", probe.lift_result_to_csv(result, config))
+        with _open(args.out + ".json") as json_out, _open(args.out + ".csv") as csv_out:
+            probe.write_lift_result(result, config, json_out, csv_out)
         _write_meta(args.out, started)
     end = result.endpoint
     print(f"status {result.status.kind} endpoint {end.real!r},{end.imag!r} "

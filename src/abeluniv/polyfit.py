@@ -192,13 +192,15 @@ class _Pass:
         for m in range(top + 1, degree + 1):
             # the shift reads a contiguous copy, as it read v when m - 1 was built
             v = z * Q[:, m - 1].copy() if m else np.ones(n, dtype=complex)
-            c = np.roll(C[:, m - 1], 1) if m else np.zeros(degree + 1, dtype=complex)
+            # C is upper triangular: rows m and up of C[:, :m] are exactly zero
+            c = np.zeros(degree + 1, dtype=complex)
+            c[1:m + 1] = C[:m, m - 1]
             c[0] = 0.0 if m else 1.0
             before = float(np.linalg.norm(sw * v))
             for _ in range(2):
                 h = _conj_matvec(Q, m, w * v)
                 v = v - Q[:, :m] @ h
-                c = c - C[:, :m] @ h
+                c[:m] -= C[:m, :m] @ h
             nv = float(np.linalg.norm(sw * v))
             if nv < 1e-14 * max(before, 1e-300):
                 raise BasisBreakdown(

@@ -29,6 +29,7 @@ from .geometry import DiscAutomorphism, UnitCircleArc, apply_automorphism
 from .polyfit import ComplexPolynomial, derivative, evaluate
 
 RECIPROCAL_FLOOR = 1e-6
+_LIFT_CHUNK = 4096   # samples per write of write_lift_result to each stream
 
 
 # labelled functions
@@ -541,8 +542,12 @@ def _branch_start(g, gf, dg, w0: complex, tol: float) -> complex:
 
 # report emitters
 
+def _compact_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _config_comment(config: dict) -> str:
-    return "# config " + json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return "# config " + _compact_json(config)
 
 
 def dilate_report_to_csv(report: DilateReport, config: dict) -> str:
@@ -553,23 +558,23 @@ def dilate_report_to_csv(report: DilateReport, config: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def lift_result_to_csv(result: LiftResult, config: dict) -> str:
-    lines = [_config_comment(config), "j,t,h_re,h_im,target_re,target_im"]
-    for j in range(len(result.t)):
-        # force plain floats; numpy scalars repr as np.float64(...) otherwise
-        lines.append(f"{j},{float(result.t[j])!r},{float(result.values[j].real)!r},"
-                     f"{float(result.values[j].imag)!r},{float(result.targets[j].real)!r},"
-                     f"{float(result.targets[j].imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def lift_result_to_json(result: LiftResult, config: dict) -> str:
-    payload = {
-        "config": config,
-        "status": {"kind": result.status.kind, "index": result.status.index},
-        "max_defect": result.max_defect,
-        "endpoint": [result.values[-1].real, result.values[-1].imag],
-        "samples": [[result.t[j], result.values[j].real, result.values[j].imag]
-                    for j in range(len(result.t))],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+def write_lift_result(result: LiftResult, config: dict, json_out, csv_out) -> None:
+    """Stream the lift payload as JSON and CSV, each float formatted once by repr."""
+    end, status = result.endpoint, result.status
+    head = _compact_json({"config": config, "endpoint": [end.real, end.imag],
+                          "max_defect": result.max_defect})
+    json_out.write(head[:-1] + ',"samples":[')
+    csv_out.write(_config_comment(config) + "\nj,t,h_re,h_im,target_re,target_im\n")
+    columns = (result.t, result.values.real, result.values.imag,
+               result.targets.real, result.targets.imag)
+    for lo in range(0, len(result.t), _LIFT_CHUNK):
+        t, h_re, h_im, w_re, w_im = (list(map(repr, a[lo:lo + _LIFT_CHUNK].tolist()))
+                                     for a in columns)
+        rows = ",".join(f"[{a},{b},{c}]" for a, b, c in zip(t, h_re, h_im))
+        if "n" in rows:   # nan or inf, which json spells NaN and Infinity
+            rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+        json_out.write(("," if lo else "") + rows)
+        csv_out.write("".join(f"{j},{a},{b},{c},{d},{e}\n" for j, (a, b, c, d, e)
+                              in enumerate(zip(t, h_re, h_im, w_re, w_im), lo)))
+    json_out.write('],"status":' + _compact_json(
+        {"kind": status.kind, "index": status.index}) + "}\n")

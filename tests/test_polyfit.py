@@ -242,18 +242,22 @@ def test_conj_matvec_matches_the_conjugated_copy_bitwise():
         assert np.array_equal(got.view(float), want.view(float)), m
 
 
+def _disc_and_arc_fit_data():
+    disc = sample_disc_constraint(0.5, 512)
+    arc = sample_dilated_arc(UnitCircleArc(0.0, math.pi / 2), 0.9, 512)
+    cc = union(*(c.with_target(1 / (c.points - 1.5)) for c in (disc, arc)))
+    pts = np.concatenate([c.points for c in cc.components])
+    tgt = np.concatenate([c.target for c in cc.components])
+    return pts, tgt, grid_weights(cc)
+
+
 @pytest.mark.parametrize("tol", [None, 1e-9])
 def test_grown_pass_matches_a_fresh_pass_bitwise(tol):
     # round 1 of every fit in a degree search goes through one growing
     # pass; at every ladder target it must return the bits of a fresh pass
     # to that target. At tol 1e-9 the pass stops at degree 31, and the
     # targets above read the fit there, as a fresh pass would stop there.
-    disc = sample_disc_constraint(0.5, 512)
-    arc = sample_dilated_arc(UnitCircleArc(0.0, math.pi / 2), 0.9, 512)
-    cc = union(*(c.with_target(1 / (c.points - 1.5)) for c in (disc, arc)))
-    pts = np.concatenate([c.points for c in cc.components])
-    tgt = np.concatenate([c.target for c in cc.components])
-    w = grid_weights(cc)
+    pts, tgt, w = _disc_and_arc_fit_data()
     grown = _Pass(pts, tgt, w)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for d in (8, 16, 32, 64, 128, 256):
@@ -261,6 +265,18 @@ def test_grown_pass_matches_a_fresh_pass_bitwise(tol):
             assert np.array_equal(got[0].view(float), want[0].view(float)), d
             assert got[1:3] == want[1:3], d
             assert len(got[0]) - 1 == (d if tol is None or d < 32 else 31)
+
+
+def test_grown_pass_synthesis_stays_exactly_upper_triangular():
+    # the column loop reads only rows 0..m-1 of C[:, :m] when it shifts and
+    # orthogonalizes the monomial coefficients, which is exact only while
+    # every entry below the diagonal is a true zero
+    grown = _Pass(*_disc_and_arc_fit_data())
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for d in (8, 16, 32, 64, 128, 256):
+            grown.fit(d)
+            assert grown.C.shape == (d + 1, d + 1)
+            assert not np.any(np.tril(grown.C, -1)), d
 
 
 def test_basis_breakdown_leaves_the_pass_as_it_was():

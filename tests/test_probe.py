@@ -1,5 +1,6 @@
 """Dilate-distance scans, composition wrappers, and inverse-branch lifting."""
 
+import io
 import json
 import math
 import os
@@ -35,8 +36,8 @@ from abeluniv import (
     universality_scan,
 )
 from abeluniv import probe
-from abeluniv.probe import (DilateReport, dilate_report_to_csv,
-                            lift_result_to_csv, lift_result_to_json)
+from abeluniv.probe import (DilateReport, LiftResult, LiftStatus,
+                            dilate_report_to_csv, write_lift_result)
 
 SQUARE = ComplexPolynomial([0, 0, 1])
 IDENT = ComplexPolynomial([0, 1])
@@ -485,15 +486,53 @@ def test_dilate_report_emitters_deterministic():
     assert len(lines) == 2 + len(rep.rows)
 
 
+def _lift_texts(res, config):
+    json_out, csv_out = io.StringIO(), io.StringIO()
+    write_lift_result(res, config, json_out, csv_out)
+    return json_out.getvalue(), csv_out.getvalue()
+
+
 def test_lift_result_emitters():
     res = lift_path(SQUARE, [1, 4], 1, 1e-6)
     config = {"outer": "square", "tol": 1e-6}
-    csv = lift_result_to_csv(res, config)
+    blob, csv = _lift_texts(res, config)
     lines = csv.strip().split("\n")
     assert len(lines) == 2 + len(res.t)
-    blob = lift_result_to_json(res, config)
-    assert blob == lift_result_to_json(res, config)
+    assert (blob, csv) == _lift_texts(res, config)
     payload = json.loads(blob)
     assert payload["status"]["kind"] == "complete"
     assert abs(payload["endpoint"][0] - 2.0) < 1e-6
     assert len(payload["samples"]) == len(res.t)
+
+
+def test_write_lift_result_matches_per_sample_formatting():
+    # the streamed writer formats each float once for both texts; its bytes
+    # must be those of json.dumps of the payload and of a per-sample CSV,
+    # across chunk boundaries and for the non-finite values json spells
+    # NaN and Infinity
+    n = 2 * probe._LIFT_CHUNK + 37
+    rng = np.random.default_rng(7)
+    t = np.linspace(0.0, 1.0, n) ** 1.5
+    values = rng.normal(size=n) * 1e3 + 1j * rng.normal(size=n) * 1e-7
+    targets = values ** 2 + 1j * rng.uniform(0.5, 2.0, n)
+    values[5] = complex(math.nan, -0.0)
+    values[probe._LIFT_CHUNK] = complex(-math.inf, math.inf)
+    res = LiftResult(t, values, targets, 3.25e-11, LiftStatus("critical-point", n - 1))
+    config = {"command": "lift", "g": "square", "tol": 1e-10, "path": [[1.0, 0.5]]}
+    want_json = json.dumps({
+        "config": config,
+        "status": {"kind": "critical-point", "index": n - 1},
+        "max_defect": 3.25e-11,
+        "endpoint": [values[-1].real, values[-1].imag],
+        "samples": [[t[j], values[j].real, values[j].imag] for j in range(n)],
+    }, sort_keys=True, separators=(",", ":")) + "\n"
+    lines = ["# config " + json.dumps(config, sort_keys=True, separators=(",", ":")),
+             "j,t,h_re,h_im,target_re,target_im"]
+    for j in range(n):
+        lines.append(f"{j},{float(t[j])!r},{float(values[j].real)!r},"
+                     f"{float(values[j].imag)!r},{float(targets[j].real)!r},"
+                     f"{float(targets[j].imag)!r}")
+    got_json, got_csv = _lift_texts(res, config)
+    assert got_json == want_json
+    # compared as lines: pytest's diff of two long texts takes minutes
+    assert got_csv.split("\n") == lines + [""]
