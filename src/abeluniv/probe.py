@@ -568,8 +568,8 @@ def write_lift_result(result: LiftResult, config: dict, json_out, csv_out) -> No
     columns = (result.t, result.values.real, result.values.imag,
                result.targets.real, result.targets.imag)
     for lo in range(0, len(result.t), _LIFT_CHUNK):
-        t, h_re, h_im, w_re, w_im = (list(map(repr, a[lo:lo + _LIFT_CHUNK].tolist()))
-                                     for a in columns)
+        t, h_re, h_im, w_re, w_im = (list(map(repr, col[lo:lo + _LIFT_CHUNK].tolist()))
+                                     for col in columns)
         rows = ",".join(f"[{a},{b},{c}]" for a, b, c in zip(t, h_re, h_im))
         if "n" in rows:   # nan or inf, which json spells NaN and Infinity
             rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
