@@ -17,7 +17,8 @@ until a fit meets the tolerance, then steps it down (see fit_until).
 Round 1 of every fit in that search goes through one base-weight pass
 (_Pass): each higher target grows its columns, each lower target and the
 final refit read them, and the refit resumes the reweighting rounds that
-the fit at its degree already ran.
+the fit at its degree already ran. Rounds 2-8 build no pass: each
+re-orthonormalizes its columns at its own weights (_Pass.reweighted).
 """
 
 from __future__ import annotations
@@ -136,6 +137,29 @@ def _conj_matvec(Q: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
     return (Q[:, :m].T @ x.conj()).conj()
 
 
+_BLOCK = 128   # block width of a reweighting round's factorization and products
+
+
+def _inverse_cholesky(Q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """L^{-1} for Q^H diag(w) Q = L L^H, left-looking by block columns built
+    as they are factored; LAPACK sees only diagonal blocks, the rest is gemm.
+    Step k reads block row k of L last, then writes row k of L^{-1} there."""
+    n1 = Q.shape[1]
+    X = np.zeros((n1, n1), dtype=complex)
+    for k0 in range(0, n1, _BLOCK):
+        K = slice(k0, k0 + _BLOCK)
+        A = ((Q[:, k0:].T @ (w[:, None] * Q[:, K]).conj()).conj()
+             - X[k0:, :k0] @ X[K, :k0].conj().T)
+        try:
+            Xkk = np.tril(np.linalg.inv(np.linalg.cholesky(A[:_BLOCK])))
+        except np.linalg.LinAlgError:
+            raise BasisBreakdown(f"Gram matrix not positive definite from column {k0}") from None
+        X[k0 + _BLOCK:, K] = A[_BLOCK:] @ Xkk.conj().T
+        X[K, :k0] = -Xkk @ (X[K, :k0] @ X[:k0, :k0])
+        X[K, K] = Xkk
+    return X
+
+
 class _Pass:
     """One Arnoldi pass at fixed weights w, grown column by column.
 
@@ -154,7 +178,8 @@ class _Pass:
     reallocates Q and C at width degree + 1, the shapes a fresh pass
     allocates, copies the prefix and resumes the column loop. All fits
     with tol on one pass give the same tol. A BasisBreakdown leaves the
-    pass as it was."""
+    pass as it was. reweighted(w, degree, tol) returns, in exact
+    arithmetic, fit's result on a fresh pass at weights w."""
 
     def __init__(self, z: np.ndarray, y: np.ndarray, w: np.ndarray):
         self.z, self.y, self.w, self.wy = z, y, w, w * y
@@ -168,13 +193,14 @@ class _Pass:
         """(monomial coefficients, max synthesis column growth, max|r|,
         |p(z) - y|) at degree m from columns 0..m, the last None when
         synthesis overflowed."""
-        d = _conj_matvec(Q, m + 1, self.wy)
         Cm = C[:m + 1, :m + 1]
-        coeffs = Cm @ d
-        res = None
+        coeffs = Cm @ _conj_matvec(Q, m + 1, self.wy)
+        return (coeffs, float(np.max(np.sum(np.abs(Cm), axis=0))), float(sups[m]),
+                self._residual(coeffs))
+
+    def _residual(self, coeffs: np.ndarray) -> Optional[np.ndarray]:
         if np.all(np.isfinite(coeffs.view(float))):
-            res = np.abs(evaluate(ComplexPolynomial(coeffs), self.z) - self.y)
-        return coeffs, float(np.max(np.sum(np.abs(Cm), axis=0))), float(sups[m]), res
+            return np.abs(evaluate(ComplexPolynomial(coeffs), self.z) - self.y)
 
     def fit(self, degree: int, tol: Optional[float] = None):
         top = len(self.sups) - 1
@@ -217,6 +243,34 @@ class _Pass:
                 if m == degree or met:
                     self.Q, self.C, self.sups, self.r, self.met = Q, C, sups[:m + 1], r, met
                     return fit
+
+    def reweighted(self, w: np.ndarray, degree: int, tol: Optional[float] = None):
+        """fit's tuple at weights w from columns 0..degree in hand (CholeskyQR,
+        Yamamoto et al., ETNA 2015). With Q those columns and Q^H diag(w) Q =
+        L L^H, every prefix of Q L^{-H} is w-orthonormal, so d = L^{-1} Q^H w y
+        gives the fit at each m: Q coordinates, the running sums of L^{-H}
+        diag(d), and monomial form C_m L_m^{-H} d_m."""
+        n1, y, Q, C = degree + 1, self.y, self.Q[:, :degree + 1], self.C[:degree + 1, :degree + 1]
+        X = _inverse_cholesky(Q, w)
+        d = X @ _conj_matvec(Q, n1, w * y)
+        # by block columns of L^{-H}: max|r| at each m, and the column sums
+        # of the synthesis C L^{-H}, whose first m + 1 columns are C_m L_m^{-H}
+        sups, sums, last = [], [], np.zeros(0, dtype=complex)
+        for j0 in range(0, n1, _BLOCK):
+            R = X[j0:j0 + _BLOCK, :j0 + _BLOCK].T.conj()
+            K = np.cumsum(R * d[j0:j0 + _BLOCK], axis=1)
+            K[:j0] += last[:, None]
+            last = K[:, -1]
+            sups.append(np.max(np.abs(y[:, None] - Q[:, :j0 + _BLOCK] @ K), axis=0))
+            sums.append(np.sum(np.abs(C[:j0 + _BLOCK, :j0 + _BLOCK] @ R), axis=0))
+        sups, sums = np.concatenate(sups), np.concatenate(sums)
+        for m in range(n1):
+            if m == degree or (tol is not None and sups[m] <= tol):
+                coeffs = C[:m + 1, :m + 1] @ _conj_matvec(X[:m + 1], m + 1, d[:m + 1])
+                res = self._residual(coeffs)
+                if m == degree or (res is not None and float(res.max()) <= tol):
+                    break
+        return coeffs, float(np.max(sums[:m + 1])), float(sups[m]), res
 
 
 @dataclass
@@ -262,19 +316,20 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
     base = grid_weights(cc)
 
     best, basis_sup, scale, first = None, math.inf, np.ones(len(cc.components)), 0
-    if search is not None and tol is None and degree in search.rounds:
+    search = search or _Search()
+    if tol is None and degree in search.rounds:
         best, basis_sup, scale, first = search.rounds[degree]
     for k in range(first, 8):
         w = base.copy()
         for i, sl in enumerate(slices):
             w[sl] *= scale[i]
         w = w / w.sum()
-        if k > 0 or search is None:
-            core = _Pass(pts, tgt, w)
-        else:
-            core = search.base = search.base or _Pass(pts, tgt, w)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            coeffs, growth, round_basis_sup, res = core.fit(degree, tol)
+            if k == 0:
+                search.base = search.base or _Pass(pts, tgt, w)
+            # round 0 ran the base pass to degree, or met tol and ended the loop
+            coeffs, growth, round_basis_sup, res = (search.base.fit(degree, tol) if k == 0
+                                                    else search.base.reweighted(w, degree, tol))
         basis_sup = min(basis_sup, round_basis_sup)
         if res is None or not math.isfinite(growth):
             # monomial synthesis overflowed: the orthogonal fit exists but
@@ -298,7 +353,7 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
             break
         scale = scale * np.maximum(comp_sup / sup, 1e-4)
         if tol is not None and sup <= tol:
-            if search is not None and poly.degree == degree:
+            if poly.degree == degree:
                 search.rounds[degree] = (best, basis_sup, scale, k + 1)
             break
 

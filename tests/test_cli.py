@@ -332,6 +332,16 @@ def test_lift_rejects_malformed_path():
                  "--start", "1,0"]) == 1
 
 
+@pytest.mark.parametrize("path,start", [("1,0:4,0", "nan,0"), ("1,0:nan,0", "1,0"),
+                                        ("1,0:inf,0", "1,0")])
+def test_lift_rejects_non_finite_input(tmp_path, capsys, path, start):
+    out = str(tmp_path / "bad")
+    assert main(["lift", "--g", "square", "--path", path, "--start", start,
+                 "--out", out]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out + ".json")
+
+
 def test_lift_liftable_target_on_arc(tmp_path, capsys):
     out = str(tmp_path / "arc")
     assert main(["lift", "--liftable", "--g", "exp",
