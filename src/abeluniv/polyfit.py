@@ -253,17 +253,17 @@ class _Pass:
         n1, y, Q, C = degree + 1, self.y, self.Q[:, :degree + 1], self.C[:degree + 1, :degree + 1]
         X = _inverse_cholesky(Q, w)
         d = X @ _conj_matvec(Q, n1, w * y)
-        # by block columns of L^{-H}: max|r| at each m, and the column sums
-        # of the synthesis C L^{-H}, whose first m + 1 columns are C_m L_m^{-H}
-        sups, sums, last = [], [], np.zeros(0, dtype=complex)
+        # by blocks of L^{-H} columns and Q rows: max|r| at each m, and column
+        # sums of the synthesis C L^{-H}, whose first m + 1 are C_m L_m^{-H}'s
+        rows = [(y[i:i + _BLOCK, None], Q[i:i + _BLOCK]) for i in range(0, len(y), _BLOCK)]
+        sups, sums = np.empty(n1), np.empty(n1)
         for j0 in range(0, n1, _BLOCK):
-            R = X[j0:j0 + _BLOCK, :j0 + _BLOCK].T.conj()
-            K = np.cumsum(R * d[j0:j0 + _BLOCK], axis=1)
-            K[:j0] += last[:, None]
-            last = K[:, -1]
-            sups.append(np.max(np.abs(y[:, None] - Q[:, :j0 + _BLOCK] @ K), axis=0))
-            sums.append(np.sum(np.abs(C[:j0 + _BLOCK, :j0 + _BLOCK] @ R), axis=0))
-        sups, sums = np.concatenate(sups), np.concatenate(sums)
+            J, top = slice(j0, j0 + _BLOCK), slice(0, j0 + _BLOCK)
+            R = X[J, top].T.conj()
+            K = np.cumsum(R * d[J], axis=1)
+            K[:j0] += _conj_matvec(X[:j0], j0, d[:j0])[:, None]
+            sups[J] = np.max([np.abs(yi - Qi[:, top] @ K).max(axis=0) for yi, Qi in rows], axis=0)
+            sums[J] = np.sum(np.abs(C[top, top] @ R), axis=0)
         for m in range(n1):
             if m == degree or (tol is not None and sups[m] <= tol):
                 coeffs = C[:m + 1, :m + 1] @ _conj_matvec(X[:m + 1], m + 1, d[:m + 1])
@@ -297,10 +297,10 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
     target; the round with the smallest measured sup residual wins, and the
     loop stops as soon as a round fails to improve. The report's basis_sup
     is the lowest synthesis-free residual over the rounds run; it does not
-    steer the reweighting. With tol given (fit_until's search), a round's
-    pass may stop below degree, and the first round whose fit meets tol
-    wins. search is the state fit_until shares between its fits (see
-    _Search); the result does not depend on it."""
+    steer the reweighting. Round 1 runs an Arnoldi pass at the base weights,
+    search.base, and later rounds reweight its columns. With tol given, a
+    round may stop below degree, and the first round whose fit meets tol
+    wins. search, which fit_until's fits share, does not change the result."""
     if degree < 0:
         raise ConfigError("degree must be >= 0")
     for c in cc.components:
