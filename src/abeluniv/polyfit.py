@@ -327,7 +327,7 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             if k == 0:
                 search.base = search.base or _Pass(pts, tgt, w)
-            # round 0 ran the base pass to degree, or met tol and ended the loop
+            # round 1 ran the base pass to degree, or met tol and ended the loop
             coeffs, growth, round_basis_sup, res = (search.base.fit(degree, tol) if k == 0
                                                     else search.base.reweighted(w, degree, tol))
         basis_sup = min(basis_sup, round_basis_sup)
