@@ -17,8 +17,7 @@ until a fit meets the tolerance, then steps it down (see fit_until).
 Round 1 of every fit in that search goes through one base-weight pass
 (_Pass): each higher target grows its columns, each lower target and the
 final refit read them, and the refit resumes the reweighting rounds that
-the fit at its degree already ran. Rounds 2-8 build no pass: each
-re-orthonormalizes its columns at its own weights (_Pass.reweighted).
+the fit at its degree already ran; rounds 2-8 reweight its columns.
 """
 
 from __future__ import annotations
@@ -138,12 +137,12 @@ def _conj_matvec(Q: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
 
 
 _BLOCK = 128   # block width of a reweighting round's factorization and products
+_SPREAD = 1e5  # widest spread of w / w0 a reweighting round factors (see reweighted)
 
 
 def _inverse_cholesky(Q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """L^{-1} for Q^H diag(w) Q = L L^H, left-looking by block columns built
-    as they are factored; LAPACK sees only diagonal blocks, the rest is gemm.
-    Step k reads block row k of L last, then writes row k of L^{-1} there."""
+    """L^{-1} for Q^H diag(w) Q = L L^H, left-looking by block columns, LAPACK
+    on the diagonal blocks only; row k of L^{-1} overwrites L's once read."""
     n1 = Q.shape[1]
     X = np.zeros((n1, n1), dtype=complex)
     for k0 in range(0, n1, _BLOCK):
@@ -178,8 +177,7 @@ class _Pass:
     reallocates Q and C at width degree + 1, the shapes a fresh pass
     allocates, copies the prefix and resumes the column loop. All fits
     with tol on one pass give the same tol. A BasisBreakdown leaves the
-    pass as it was. reweighted(w, degree, tol) returns, in exact
-    arithmetic, fit's result on a fresh pass at weights w."""
+    pass as it was, as does reweighted(w, degree, tol), fit at weights w."""
 
     def __init__(self, z: np.ndarray, y: np.ndarray, w: np.ndarray):
         self.z, self.y, self.w, self.wy = z, y, w, w * y
@@ -246,10 +244,12 @@ class _Pass:
 
     def reweighted(self, w: np.ndarray, degree: int, tol: Optional[float] = None):
         """fit's tuple at weights w from columns 0..degree in hand (CholeskyQR,
-        Yamamoto et al., ETNA 2015). With Q those columns and Q^H diag(w) Q =
-        L L^H, every prefix of Q L^{-H} is w-orthonormal, so d = L^{-1} Q^H w y
-        gives the fit at each m: Q coordinates, the running sums of L^{-H}
-        diag(d), and monomial form C_m L_m^{-H} d_m."""
+        Yamamoto et al., ETNA 2015): with Q those columns and Q^H diag(w) Q =
+        L L^H, every prefix of Q L^{-H} is w-orthonormal, and d = L^{-1} Q^H w y.
+        That costs about spread^1.5 * eps of max|y|, spread that of w / self.w
+        (1e-10 at 1e4, 1e-6 at 1e6), so past _SPREAD it runs a fresh pass."""
+        if not (w / self.w).max() <= _SPREAD * (w / self.w).min():
+            return _Pass(self.z, self.y, w).fit(degree, tol)
         n1, y, Q, C = degree + 1, self.y, self.Q[:, :degree + 1], self.C[:degree + 1, :degree + 1]
         X = _inverse_cholesky(Q, w)
         d = X @ _conj_matvec(Q, n1, w * y)
@@ -327,9 +327,12 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             if k == 0:
                 search.base = search.base or _Pass(pts, tgt, w)
-            # round 1 ran the base pass to degree, or met tol and ended the loop
-            coeffs, growth, round_basis_sup, res = (search.base.fit(degree, tol) if k == 0
-                                                    else search.base.reweighted(w, degree, tol))
+                coeffs, growth, round_basis_sup, res = search.base.fit(degree, tol)
+            else:   # round 1 ran the base pass to degree, or met tol and ended the loop
+                try:
+                    coeffs, growth, round_basis_sup, res = search.base.reweighted(w, degree, tol)
+                except BasisBreakdown:   # keep the best round, as after an overflow
+                    break
         basis_sup = min(basis_sup, round_basis_sup)
         if res is None or not math.isfinite(growth):
             # monomial synthesis overflowed: the orthogonal fit exists but

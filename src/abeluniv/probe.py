@@ -138,18 +138,14 @@ def compose_right(f, phi: DiscAutomorphism) -> FunctionExpr:
 def dilate_distance(f, arc: UnitCircleArc, target, r: float,
                     density: int = 256) -> float:
     """Grid sup of |f(r zeta) - target(zeta)| over the sampled arc."""
-    return _dilate_sups(as_expr(f), arc, target, [r], density)[0]
-
-
-def _dilate_sups(expr: FunctionExpr, arc: UnitCircleArc, target, radii, density) -> List[float]:
-    """dilate_distance at each radius, the target evaluated once."""
-    if not all(0 < r < 1 for r in radii):
-        raise ConfigError(f"dilation radius outside (0, 1) in {list(radii)}")
+    if not (0 < r < 1):
+        raise ConfigError(f"dilation radius {r} outside (0, 1)")
     if density < 2:
         raise ConfigError("need at least two sample points")
     zeta = arc.sample(density)
+    fv = as_expr(f)(r * zeta)
     tv = as_expr(target)(zeta)
-    return [float(np.max(np.abs(expr(r * zeta) - tv))) for r in radii]
+    return float(np.max(np.abs(fv - tv)))
 
 
 @dataclass
@@ -194,9 +190,10 @@ def universality_scan(f, targets: Sequence, arcs: Sequence[UnitCircleArc],
     rows = []
     for ti, target in enumerate(targets):
         for ai, arc in enumerate(arcs):
-            sups = _dilate_sups(expr, arc, target, r[1:N + 1], density)
-            rows += [{"target_id": ti, "arc_id": ai, "n": n, "r": r[n], "sup_error": d}
-                     for n, d in enumerate(sups, start=1)]
+            for n in range(1, N + 1):
+                d = dilate_distance(expr, arc, target, r[n], density)
+                rows.append({"target_id": ti, "arc_id": ai, "n": n,
+                             "r": r[n], "sup_error": d})
     return DilateReport.from_rows(rows)
 
 

@@ -242,10 +242,14 @@ def test_conj_matvec_matches_the_conjugated_copy_bitwise():
         assert np.array_equal(got.view(float), want.view(float)), m
 
 
-def _disc_and_arc_fit_data():
+def _disc_and_arc_compactum():
     disc = sample_disc_constraint(0.5, 512)
     arc = sample_dilated_arc(UnitCircleArc(0.0, math.pi / 2), 0.9, 512)
-    cc = union(*(c.with_target(1 / (c.points - 1.5)) for c in (disc, arc)))
+    return union(*(c.with_target(1 / (c.points - 1.5)) for c in (disc, arc)))
+
+
+def _disc_and_arc_fit_data():
+    cc = _disc_and_arc_compactum()
     pts = np.concatenate([c.points for c in cc.components])
     tgt = np.concatenate([c.target for c in cc.components])
     return pts, tgt, grid_weights(cc)
@@ -291,28 +295,54 @@ def test_basis_breakdown_leaves_the_pass_as_it_was():
 
 
 @pytest.mark.parametrize("tol", [None, 1e-6])
-def test_reweighted_round_matches_a_fresh_pass(tol):
+@pytest.mark.parametrize("spread,sup_rtol,passing", [(1e4, 1e-9, 24), (1e5, 1e-7, 25)])
+def test_reweighted_round_matches_a_fresh_pass(tol, spread, sup_rtol, passing):
     # a reweighting round re-orthonormalizes the base-weight columns at its
     # own weights, which in exact arithmetic is the fit of a fresh pass
-    # there. With the arc weighted 1e4 times the disc the weighted Gram
-    # matrix has condition about 1e4: both return the same degree (24 at
-    # tol 1e-6), max|r| agrees to 1e-9 of max|y|, and the coefficients to
-    # 1e-12 of the synthesis growth, the size of their own noise past
-    # degree 32
+    # there. With the arc weighted `spread` times the disc the weighted Gram
+    # matrix has condition about `spread`: both return the same degree
+    # (`passing` at tol 1e-6), max|r| agrees to sup_rtol of max|y| (the
+    # largest gap is 7.7e-11 at 1e4 and 4.6e-9 at 1e5, the widest spread
+    # factored), and the coefficients to 1e-12 of the synthesis growth,
+    # the size of their own noise past degree 32
     pts, tgt, base = _disc_and_arc_fit_data()
     w = base.copy()
-    w[512:] *= 1e4
+    w[512:] *= spread
     w /= w.sum()
     core = _Pass(pts, tgt, base)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         core.fit(256)
         for d in (8, 16, 32, 64, 128, 256):
             got, want = core.reweighted(w, d, tol), _Pass(pts, tgt, w).fit(d, tol)
-            assert len(got[0]) - 1 == len(want[0]) - 1 == (d if tol is None or d < 32 else 24)
-            assert abs(got[2] - want[2]) <= 1e-9 * np.max(np.abs(tgt)), d
+            assert len(got[0]) - 1 == len(want[0]) - 1 == (
+                d if tol is None or d < 32 else passing)
+            assert got[2] != want[2], d   # the factorization ran, not a fresh pass
+            assert abs(got[2] - want[2]) <= sup_rtol * np.max(np.abs(tgt)), d
             assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * want[1], d
             assert got[1] == pytest.approx(want[1], rel=1e-9), d
     assert len(core.sups) == 257
+
+
+@pytest.mark.parametrize("spread", [1e6, 1e8, 1e16])
+def test_reweighted_round_past_the_spread_limit_is_a_fresh_pass(spread):
+    # factored, weights that spread this far would cost max|r| digits:
+    # 3.7e-5 where a fresh pass reaches 3.7e-8 at degree 32 and spread
+    # 1e8. So the round runs a fresh pass, bit for bit, and the base pass
+    # keeps its columns
+    pts, tgt, base = _disc_and_arc_fit_data()
+    w = base.copy()
+    w[512:] *= spread
+    w /= w.sum()
+    core = _Pass(pts, tgt, base)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        core.fit(128)
+        Q = core.Q.copy()
+        for d in (16, 32, 64, 128):
+            for tol in (None, 1e-6):
+                got, want = core.reweighted(w, d, tol), _Pass(pts, tgt, w).fit(d, tol)
+                assert np.array_equal(got[0].view(float), want[0].view(float)), (d, tol)
+                assert got[1:3] == want[1:3], (d, tol)
+    assert np.array_equal(core.Q, Q)
 
 
 @pytest.mark.parametrize("width", [1, 127, 128, 129, 513])
@@ -329,7 +359,9 @@ def test_blocked_inverse_cholesky_matches_lapack(width):
 
 
 def test_rank_deficient_gram_raises_and_leaves_the_pass_as_it_was():
-    # 31 columns weighted on 10 of the 40 points hold rank 10 at most
+    # 31 columns weighted on 10 of the 40 points hold rank 10 at most: the
+    # blocked factorization meets a pivot that is not positive, and a round
+    # at those weights (an unbounded spread, so a fresh pass) breaks down
     pts = circle_grid(0.5, 40)
     core = _Pass(pts, np.exp(pts), np.full(40, 1 / 40))
     core.fit(30)
@@ -337,9 +369,31 @@ def test_rank_deficient_gram_raises_and_leaves_the_pass_as_it_was():
     w = np.zeros(40)
     w[::4] = 0.1
     with pytest.raises(BasisBreakdown, match="not positive definite"):
+        _inverse_cholesky(core.Q, w)
+    with pytest.raises(BasisBreakdown):
         core.reweighted(w, 30)
     assert np.array_equal(core.Q, Q) and np.array_equal(core.C, C)
     assert np.array_equal(core.sups, sups)
+
+
+def test_fit_keeps_the_best_round_when_a_reweighting_round_breaks_down(monkeypatch):
+    # a later round that breaks down ends the rounds, as an overflow does:
+    # the fit returns the best round in hand, round 1's here
+    cc = _disc_and_arc_compactum()
+    pts, tgt, base = _disc_and_arc_fit_data()
+    rounds = []
+
+    def broken(self, w, degree, tol=None):
+        rounds.append(degree)
+        raise BasisBreakdown("no positive pivot")
+
+    full, full_rep = fit_polynomial(cc, 16)
+    monkeypatch.setattr(polyfit._Pass, "reweighted", broken)
+    poly, rep = fit_polynomial(cc, 16)
+    assert rounds == [16]
+    want = _Pass(pts, tgt, base / base.sum()).fit(16)
+    assert poly.coeffs == ComplexPolynomial(want[0]).coeffs
+    assert rep.sup_error == float(want[3].max()) > full_rep.sup_error
 
 
 # ------------------------------------------------------------------ fit_until
@@ -489,11 +543,13 @@ def test_fit_until_noisy_targets_cost_no_extra_passes(log2_stage2_compactum, mon
     # at tol 0.01 only the synthesis-free residual of target 512 meets tol;
     # no returned polynomial does, so the search must not step down below
     # any target: one pass per target, and at most 7 reweighting rounds at
-    # each (37 in all at 2 BLAS threads, 36 at 1)
+    # each (37 in all at 2 BLAS threads, 36 at 1). The second round at 512
+    # spreads its weights 1e8 from the base pass's, past what a round
+    # factors, and runs a fresh pass
     targets, _, rounds = count_passes(monkeypatch)
     with pytest.raises(ToleranceUnreachable):
         fit_until(log2_stage2_compactum, 0.01, 512)
-    assert targets == [8, 16, 32, 64, 128, 256, 512]
+    assert targets == [8, 16, 32, 64, 128, 256, 512, 512]
     assert len(rounds) <= 49
     assert set(rounds) <= {8, 16, 32, 64, 128, 256, 512}
 

@@ -181,26 +181,6 @@ def test_scan_report_best_is_min():
     assert b["best_error"] == min(rep.errors_for(0, 0))
 
 
-def test_scan_evaluates_each_target_once_per_arc():
-    # the target does not depend on the stage: 3 arcs, 4 stages, 3 calls
-    calls = []
-
-    def target(z):
-        calls.append(len(z))
-        return 0.5 * z
-
-    arcs = [UnitCircleArc(0.2, 0.7), UnitCircleArc(3.0, 3.3), UnitCircleArc(5.0, 5.1)]
-    rho = RadiiSchedule.default(5)
-    rep = universality_scan(SQUARE, [target, 2.0], arcs, rho, 4, density=64)
-    assert calls == [64, 64, 64]
-    assert len(rep.rows) == 24
-    # each row is the stage's dilate distance, bit for bit
-    for row in rep.rows:
-        assert row["sup_error"] == dilate_distance(
-            SQUARE, arcs[row["arc_id"]], [target, 2.0][row["target_id"]],
-            rho.r[row["n"]], 64)
-
-
 def test_scan_validation():
     with pytest.raises(ConfigError):
         universality_scan(IDENT, [0.0], [UnitCircleArc(0, 1)],
