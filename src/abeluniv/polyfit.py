@@ -143,12 +143,12 @@ _SPREAD = 1e5  # widest spread of w / w0 a reweighting round factors (see reweig
 def _inverse_cholesky(Q: np.ndarray, w: np.ndarray) -> np.ndarray:
     """L^{-1} for Q^H diag(w) Q = L L^H, left-looking by block columns, LAPACK
     on the diagonal blocks only; row k of L^{-1} overwrites L's once read."""
-    n1 = Q.shape[1]
-    X = np.zeros((n1, n1), dtype=complex)
-    for k0 in range(0, n1, _BLOCK):
+    X = np.zeros((Q.shape[1],) * 2, dtype=complex)
+    for k0 in range(0, len(X), _BLOCK):
         K = slice(k0, k0 + _BLOCK)
-        A = ((Q[:, k0:].T @ (w[:, None] * Q[:, K]).conj()).conj()
-             - X[k0:, :k0] @ X[K, :k0].conj().T)
+        B = Q[:, K].conj()   # conj(w Q_K), in one temporary
+        B *= w[:, None]
+        A = (Q[:, k0:].T @ B).conj() - X[k0:, :k0] @ X[K, :k0].conj().T
         try:
             Xkk = np.tril(np.linalg.inv(np.linalg.cholesky(A[:_BLOCK])))
         except np.linalg.LinAlgError:
