@@ -64,7 +64,7 @@ class CompoundCompactum:
 
 def _min_distance(x: np.ndarray, y: np.ndarray) -> float:
     best = math.inf
-    step = 1024
+    step = max(1, 65536 // max(len(y), 1))   # rows per block: about 1 MB of differences
     for i in range(0, len(x), step):
         d = np.abs(x[i:i + step, None] - y[None, :])
         best = min(best, float(d.min()))
