@@ -17,7 +17,8 @@ until a fit meets the tolerance, then steps it down (see fit_until).
 Round 1 of every fit in that search goes through one base-weight pass
 (_Pass): each higher target grows its columns, each lower target and the
 final refit read them, and the refit resumes the reweighting rounds that
-the fit at its degree already ran; rounds 2-8 reweight its columns.
+the fit at its degree already ran; rounds 2-8 reweight its columns from
+per-component Gram parts it keeps, measuring max|r| only where tol can hold.
 """
 
 from __future__ import annotations
@@ -138,17 +139,15 @@ def _conj_matvec(Q: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
 
 _BLOCK = 128   # block width of a reweighting round's factorization and products
 _SPREAD = 1e5  # widest spread of w / w0 a reweighting round factors (see reweighted)
+_MARGIN = 1.02  # max|r_m| is skipped where ||r_m||_w^2 > _MARGIN (tol^2 + 1e-9 ||y||_w^2)
 
 
-def _inverse_cholesky(Q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """L^{-1} for Q^H diag(w) Q = L L^H, left-looking by block columns, LAPACK
-    on the diagonal blocks only; row k of L^{-1} overwrites L's once read."""
-    X = np.zeros((Q.shape[1],) * 2, dtype=complex)
+def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
+    """Overwrite X, G = L L^H in its lower triangle and 0 above, with L^{-1}, left-looking
+    by block columns, LAPACK on the diagonal blocks only; L overwrites G, L^{-1} L, once read."""
     for k0 in range(0, len(X), _BLOCK):
         K = slice(k0, k0 + _BLOCK)
-        B = Q[:, K].conj()   # conj(w Q_K), in one temporary
-        B *= w[:, None]
-        A = (Q[:, k0:].T @ B).conj() - X[k0:, :k0] @ X[K, :k0].conj().T
+        A = X[k0:, K] - X[k0:, :k0] @ X[K, :k0].conj().T
         try:
             Xkk = np.tril(np.linalg.inv(np.linalg.cholesky(A[:_BLOCK])))
         except np.linalg.LinAlgError:
@@ -177,15 +176,19 @@ class _Pass:
     reallocates Q and C at width degree + 1, the shapes a fresh pass
     allocates, copies the prefix and resumes the column loop. All fits
     with tol on one pass give the same tol. A BasisBreakdown leaves the
-    pass as it was, as does reweighted(w, degree, tol), fit at weights w."""
+    pass as it was, as does reweighted(a, degree, tol), fit at weights w
+    times a[c] on the rows of component c (slices, one component if None)."""
 
-    def __init__(self, z: np.ndarray, y: np.ndarray, w: np.ndarray):
+    def __init__(self, z: np.ndarray, y: np.ndarray, w: np.ndarray, slices=None):
         self.z, self.y, self.w, self.wy = z, y, w, w * y
+        self.slices = slices or [slice(0, len(z))]
         self.Q = np.zeros((len(z), 0), dtype=complex)
         self.C = np.zeros((0, 0), dtype=complex)
         self.sups = np.zeros(0)
         self.r = y.copy()
         self.met = False   # tol met at the last column, where the pass stopped
+        self.parts = [np.zeros(0, dtype=complex)] * (len(self.slices) - 1)   # see _gram
+        self.tiled, self.tail = 0, (0, [])   # rows in whole tiles; (width, the rows past them)
 
     def _at(self, Q: np.ndarray, C: np.ndarray, sups: np.ndarray, m: int):
         """(monomial coefficients, max synthesis column growth, max|r|,
@@ -242,28 +245,68 @@ class _Pass:
                     self.Q, self.C, self.sups, self.r, self.met = Q, C, sups[:m + 1], r, met
                     return fit
 
-    def reweighted(self, w: np.ndarray, degree: int, tol: Optional[float] = None):
-        """fit's tuple at weights w from columns 0..degree in hand (CholeskyQR,
-        Yamamoto et al., ETNA 2015): with Q those columns and Q^H diag(w) Q =
-        L L^H, every prefix of Q L^{-H} is w-orthonormal, and d = L^{-1} Q^H w y.
-        That costs about spread^1.5 * eps of max|y|, spread that of w / self.w
-        (1e-10 at 1e4, 1e-6 at 1e6), so past _SPREAD it runs a fresh pass."""
-        if not (w / self.w).max() <= _SPREAD * (w / self.w).min():
+    def _rows(self, sl: slice, i0: int, i1: int) -> np.ndarray:
+        """Rows i0..i1-1 of Q_c^H diag(w_c) Q_c, packed, from an n_c x (i1 - i0) temporary."""
+        B = self.Q[sl, i0:i1].conj()
+        B *= self.w[sl, None]
+        R = B.T @ self.Q[sl, :i1]
+        return R[np.arange(i1) <= np.arange(i0, i1)[:, None]]
+
+    def _gram(self, a: np.ndarray, n1: int) -> np.ndarray:
+        """Q^H diag(w) Q, w = self.w times a[c] on component c, at width n1 in the
+        lower triangle of a new array: a_last I + sum (a_c - a_last) G_c, as the
+        parts G_c = Q_c^H diag(w_c) Q_c sum to I. Each part but the last is kept
+        packed by rows, so a prefix serves every width, in tiles of _BLOCK built
+        once; rows past the last whole tile are built per width, so bits depend
+        on the width only."""
+        full = n1 - n1 % _BLOCK
+        while self.tiled < full:
+            self.tiled += _BLOCK
+            self.parts = [np.concatenate((p, self._rows(sl, self.tiled - _BLOCK, self.tiled)))
+                          for p, sl in zip(self.parts, self.slices)]
+        if self.tail[0] != n1:
+            self.tail = (n1, [self._rows(sl, full, n1) for sl in self.slices[:-1]])
+        nf = full * (full + 1) // 2
+        G = np.zeros(n1 * (n1 + 1) // 2, dtype=complex)
+        for ac, part, tail in zip(a, self.parts, self.tail[1]):
+            G[:nf] += (ac - a[-1]) * part[:nf]
+            G[nf:] += (ac - a[-1]) * tail
+        X = np.zeros((n1, n1), dtype=complex)
+        X[np.tri(n1, dtype=bool)] = G
+        X.flat[::n1 + 1] += a[-1]
+        return X
+
+    def reweighted(self, a: np.ndarray, degree: int, tol: Optional[float] = None):
+        """fit's tuple at weights w = self.w times a[c] on component c, summing to 1,
+        from columns 0..degree in hand (CholeskyQR, Yamamoto et al., ETNA 2015): with
+        Q those columns and Q^H diag(w) Q = L L^H (_gram), every prefix of Q L^{-H} is
+        w-orthonormal, and d = L^{-1} Q^H w y. That costs about spread^1.5 * eps of
+        max|y|, spread that of a (1e-10 at 1e4), so past _SPREAD it runs a fresh pass.
+        As max|r_m|^2 >= ||r_m||_w^2 = ||r_degree||_w^2 + sum_{j>m} |d_j|^2, max|r_m|
+        is computed at degree and in the blocks of m where that bound nears tol."""
+        w = self.w * np.repeat(a, [sl.stop - sl.start for sl in self.slices])
+        a, w = a / w.sum(), w / w.sum()
+        if not a.max() <= _SPREAD * a.min():
             return _Pass(self.z, self.y, w).fit(degree, tol)
         n1, y, Q, C = degree + 1, self.y, self.Q[:, :degree + 1], self.C[:degree + 1, :degree + 1]
-        X = _inverse_cholesky(Q, w)
+        X = _inverse_cholesky(self._gram(a, n1))
         d = X @ _conj_matvec(Q, n1, w * y)
-        # by blocks of L^{-H} columns and Q rows: max|r| at each m, and column
-        # sums of the synthesis C L^{-H}, whose first m + 1 are C_m L_m^{-H}'s
+        r = np.abs(y - Q @ _conj_matvec(X, n1, d))
+        low = np.append(np.cumsum(np.abs(d[:0:-1]) ** 2)[::-1], 0.0) + w @ r ** 2
+        high = -1.0 if tol is None else _MARGIN * (tol ** 2 + 1e-9 * (w @ np.abs(y) ** 2))
+        # by blocks of L^{-H} columns and Q rows: max|r| at each m the bound allows, and
+        # column sums of the synthesis C L^{-H}, whose first m + 1 are C_m L_m^{-H}'s
         rows = [(y[i:i + _BLOCK, None], Q[i:i + _BLOCK]) for i in range(0, len(y), _BLOCK)]
-        sups, sums = np.empty(n1), np.empty(n1)
+        sups, sums = np.full(n1, math.inf), np.empty(n1)
         for j0 in range(0, n1, _BLOCK):
             J, top = slice(j0, j0 + _BLOCK), slice(0, j0 + _BLOCK)
             R = X[J, top].T.conj()
-            K = np.cumsum(R * d[J], axis=1)
-            K[:j0] += _conj_matvec(X[:j0], j0, d[:j0])[:, None]
-            sups[J] = np.max([np.abs(yi - Qi[:, top] @ K).max(axis=0) for yi, Qi in rows], axis=0)
             sums[J] = np.sum(np.abs(C[top, top] @ R), axis=0)
+            if low[J].min() <= high:
+                K = np.cumsum(R * d[J], axis=1)
+                K[:j0] += _conj_matvec(X[:j0], j0, d[:j0])[:, None]
+                sups[J] = np.max([np.abs(yi - Qi[:, top] @ K).max(axis=0) for yi, Qi in rows], 0)
+        sups[degree] = r.max()
         for m in range(n1):
             if m == degree or (tol is not None and sups[m] <= tol):
                 coeffs = C[:m + 1, :m + 1] @ _conj_matvec(X[:m + 1], m + 1, d[:m + 1])
@@ -320,17 +363,14 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
     if tol is None and degree in search.rounds:
         best, basis_sup, scale, first = search.rounds[degree]
     for k in range(first, 8):
-        w = base.copy()
-        for i, sl in enumerate(slices):
-            w[sl] *= scale[i]
-        w = w / w.sum()
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             if k == 0:
-                search.base = search.base or _Pass(pts, tgt, w)
+                search.base = search.base or _Pass(pts, tgt, base / base.sum(), slices)
                 coeffs, growth, round_basis_sup, res = search.base.fit(degree, tol)
             else:   # round 1 ran the base pass to degree, or met tol and ended the loop
                 try:
-                    coeffs, growth, round_basis_sup, res = search.base.reweighted(w, degree, tol)
+                    coeffs, growth, round_basis_sup, res = search.base.reweighted(
+                        scale, degree, tol)
                 except BasisBreakdown:   # keep the best round, as after an overflow
                     break
         basis_sup = min(basis_sup, round_basis_sup)

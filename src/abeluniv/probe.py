@@ -469,8 +469,8 @@ def liftable_target(g, arc: UnitCircleArc, h, eps: float,
     """
     if n_nodes < 2:
         raise ConfigError("need at least two nodes")
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError("eps must be finite and positive")
     g = _outer_map(g)
     gf, dg = _as_inverse_pair(g)
     obstructions = branch_obstructions(g)

@@ -357,6 +357,15 @@ def test_lift_liftable_target_on_arc(tmp_path, capsys):
     assert abs(complex(values[0][1], values[0][2]) - math.log(2)) < 1e-9
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_lift_liftable_rejects_non_finite_eps(tmp_path, capsys, eps):
+    out = str(tmp_path / "bad")
+    assert main(["lift", "--liftable", "--g", "exp", "--arc", "0,1.5708",
+                 "--eps", eps, "--target", "2,0", "--out", out]) == 1
+    assert "eps must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out + ".json")
+
+
 def test_lift_rerun_is_byte_identical(tmp_path):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")

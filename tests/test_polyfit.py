@@ -248,6 +248,9 @@ def _disc_and_arc_compactum():
     return union(*(c.with_target(1 / (c.points - 1.5)) for c in (disc, arc)))
 
 
+DISC_AND_ARC = [slice(0, 512), slice(512, 1024)]   # the components' rows
+
+
 def _disc_and_arc_fit_data():
     cc = _disc_and_arc_compactum()
     pts = np.concatenate([c.points for c in cc.components])
@@ -309,11 +312,12 @@ def test_reweighted_round_matches_a_fresh_pass(tol, spread, sup_rtol, passing):
     w = base.copy()
     w[512:] *= spread
     w /= w.sum()
-    core = _Pass(pts, tgt, base)
+    core = _Pass(pts, tgt, base, DISC_AND_ARC)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         core.fit(256)
         for d in (8, 16, 32, 64, 128, 256):
-            got, want = core.reweighted(w, d, tol), _Pass(pts, tgt, w).fit(d, tol)
+            got = core.reweighted(np.array([1.0, spread]), d, tol)
+            want = _Pass(pts, tgt, w).fit(d, tol)
             assert len(got[0]) - 1 == len(want[0]) - 1 == (
                 d if tol is None or d < 32 else passing)
             assert got[2] != want[2], d   # the factorization ran, not a fresh pass
@@ -333,13 +337,14 @@ def test_reweighted_round_past_the_spread_limit_is_a_fresh_pass(spread):
     w = base.copy()
     w[512:] *= spread
     w /= w.sum()
-    core = _Pass(pts, tgt, base)
+    core = _Pass(pts, tgt, base, DISC_AND_ARC)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         core.fit(128)
         Q = core.Q.copy()
         for d in (16, 32, 64, 128):
             for tol in (None, 1e-6):
-                got, want = core.reweighted(w, d, tol), _Pass(pts, tgt, w).fit(d, tol)
+                got = core.reweighted(np.array([1.0, spread]), d, tol)
+                want = _Pass(pts, tgt, w).fit(d, tol)
                 assert np.array_equal(got[0].view(float), want[0].view(float)), (d, tol)
                 assert got[1:3] == want[1:3], (d, tol)
     assert np.array_equal(core.Q, Q)
@@ -352,26 +357,109 @@ def test_blocked_inverse_cholesky_matches_lapack(width):
     n = 2 * width + 8
     Q = RNG.normal(size=(n, width)) + 1j * RNG.normal(size=(n, width))
     w = RNG.uniform(0.5, 2.0, size=n)
-    X = _inverse_cholesky(Q, w)
-    want = np.linalg.inv(np.linalg.cholesky(Q.conj().T @ (w[:, None] * Q)))
+    G = Q.conj().T @ (w[:, None] * Q)
+    X = np.tril(G)
+    assert _inverse_cholesky(X) is X   # factored in place
+    want = np.linalg.inv(np.linalg.cholesky(G))
     assert np.array_equal(X, np.tril(X))
     assert np.max(np.abs(X - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _four_arc_pass(k):
+    # 1024 jittered points near the unit circle, in k components of
+    # unequal size, each weighted 1/k as grid_weights does, run to 512
+    rng = np.random.default_rng(5)
+    z = rng.uniform(0.9, 1.0, 1024) * np.exp(2j * np.pi * np.sort(rng.uniform(0, 1, 1024)))
+    sizes = {1: [1024], 2: [400, 624], 4: [100, 300, 224, 400]}[k]
+    ends = np.cumsum(sizes)
+    w0 = np.concatenate([np.full(n, 1.0 / n) for n in sizes])
+    core = _Pass(z, np.exp(z), w0 / w0.sum(), [slice(e - n, e) for e, n in zip(ends, sizes)])
+    core.fit(512)
+    return core, sizes
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_assembled_gram_matches_the_direct_product(k):
+    # a round's Gram matrix comes from the base pass's per-component parts,
+    # the last component's as I minus the others: it must be Q^H diag(w) Q,
+    # in the lower triangle, at one block, one short of a block, exactly
+    # one, one past, and the widest a fit reaches
+    core, sizes = _four_arc_pass(k)
+    a = np.random.default_rng(k).uniform(0.1, 10.0, k)
+    w = core.w * np.repeat(a, sizes)
+    for width in (1, 127, 128, 129, 513):
+        G = core._gram(a, width)
+        Q = core.Q[:, :width]
+        want = Q.conj().T @ (w[:, None] * Q)
+        assert np.array_equal(G, np.tril(G)), width
+        assert np.max(np.abs(G - np.tril(want))) <= 2e-14 * a.max(), width
+
+
+def test_gram_parts_depend_on_the_width_only():
+    # parts grown with a degree search's ladder and then read at a lower
+    # width give the bits of parts built at that width, so a fit's result
+    # does not depend on the search that ran before it
+    core, sizes = _four_arc_pass(4)
+    grown = _Pass(core.z, core.y, core.w, core.slices)
+    a = np.array([0.5, 2.0, 30.0, 1.0])
+    for width in (9, 17, 33, 65, 129, 257):
+        grown.fit(width - 1)
+        grown._gram(a, width)
+    for width in (219, 129, 100):
+        fresh = _Pass(core.z, core.y, core.w, core.slices)
+        fresh.fit(width - 1)
+        assert np.array_equal(grown._gram(a, width), fresh._gram(a, width)), width
+
+
+@pytest.mark.parametrize("a", [[1.0, 1.0], [1.0, 40.0], [300.0, 1.0]])
+def test_residual_bound_skips_no_block_that_can_meet_tol(log2_stage2_compactum, monkeypatch, a):
+    # a round computes max|r_m| only in blocks of m whose lower bound
+    # ||r_m||_w comes within _MARGIN of tol. With tol at (and just under)
+    # the sup of several m, and under every sup, where blocks are skipped,
+    # it must return the bits of a round that computes every block
+    cc = log2_stage2_compactum
+    pts = np.concatenate([c.points for c in cc.components])
+    tgt = np.concatenate([c.target for c in cc.components])
+    sizes = [len(c.points) for c in cc.components]
+    ends = np.cumsum(sizes)
+    base = grid_weights(cc)
+    core = _Pass(pts, tgt, base / base.sum(), [slice(e - n, e) for e, n in zip(ends, sizes)])
+    w = core.w * np.repeat(a, sizes)
+    a = np.array(a) / w.sum()
+    w /= w.sum()
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        core.fit(256)
+        # max|r_m| at every m from the round's own factor
+        X = _inverse_cholesky(core._gram(a, 257))
+        d = X @ (core.Q.conj().T @ (w * tgt))
+        sups = np.abs(tgt[:, None] - core.Q @ np.cumsum(X.conj().T * d, axis=1)).max(axis=0)
+        tols = [t for m in (20, 100, 127, 128, 200, 230, 250, 255)
+                for t in (sups[m], sups[m] * (1 - 1e-9))]
+        for tol in tols + [0.9 * sups.min(), 0.1 * sups.min()]:
+            got = core.reweighted(a, 256, tol)
+            monkeypatch.setattr(polyfit, "_MARGIN", math.inf)
+            want = core.reweighted(a, 256, tol)
+            monkeypatch.undo()
+            assert np.array_equal(got[0].view(float), want[0].view(float)), tol
+            assert got[1:3] == want[1:3], tol
 
 
 def test_rank_deficient_gram_raises_and_leaves_the_pass_as_it_was():
     # 31 columns weighted on 10 of the 40 points hold rank 10 at most: the
     # blocked factorization meets a pivot that is not positive, and a round
-    # at those weights (an unbounded spread, so a fresh pass) breaks down
+    # weighting one of four 10-point components (an unbounded spread, so a
+    # fresh pass) breaks down
     pts = circle_grid(0.5, 40)
-    core = _Pass(pts, np.exp(pts), np.full(40, 1 / 40))
+    core = _Pass(pts, np.exp(pts), np.full(40, 1 / 40),
+                 [slice(i, i + 10) for i in range(0, 40, 10)])
     core.fit(30)
     Q, C, sups = core.Q.copy(), core.C.copy(), core.sups.copy()
     w = np.zeros(40)
     w[::4] = 0.1
     with pytest.raises(BasisBreakdown, match="not positive definite"):
-        _inverse_cholesky(core.Q, w)
+        _inverse_cholesky(np.tril(core.Q.conj().T @ (w[:, None] * core.Q)))
     with pytest.raises(BasisBreakdown):
-        core.reweighted(w, 30)
+        core.reweighted(np.array([1.0, 0.0, 0.0, 0.0]), 30)
     assert np.array_equal(core.Q, Q) and np.array_equal(core.C, C)
     assert np.array_equal(core.sups, sups)
 
@@ -383,7 +471,7 @@ def test_fit_keeps_the_best_round_when_a_reweighting_round_breaks_down(monkeypat
     pts, tgt, base = _disc_and_arc_fit_data()
     rounds = []
 
-    def broken(self, w, degree, tol=None):
+    def broken(self, a, degree, tol=None):
         rounds.append(degree)
         raise BasisBreakdown("no positive pivot")
 
@@ -470,9 +558,9 @@ def count_passes(monkeypatch):
                 targets.append(degree)
                 columns.append(len(self.sups) - before)
 
-    def counted_round(self, w, degree, tol=None):
+    def counted_round(self, a, degree, tol=None):
         rounds.append(degree)
-        return reweighted(self, w, degree, tol)
+        return reweighted(self, a, degree, tol)
 
     monkeypatch.setattr(polyfit._Pass, "fit", counted)
     monkeypatch.setattr(polyfit._Pass, "reweighted", counted_round)
