@@ -249,8 +249,7 @@ class _Pass:
         """Rows i0..i1-1 of Q_c^H diag(w_c) Q_c, packed, from an n_c x (i1 - i0) temporary."""
         B = self.Q[sl, i0:i1].conj()
         B *= self.w[sl, None]
-        R = B.T @ self.Q[sl, :i1]
-        return R[np.arange(i1) <= np.arange(i0, i1)[:, None]]
+        return (B.T @ self.Q[sl, :i1])[np.tri(i1 - i0, i1, i0, dtype=bool)]
 
     def _gram(self, a: np.ndarray, n1: int) -> np.ndarray:
         """Q^H diag(w) Q, w = self.w times a[c] on component c, at width n1 in the
@@ -266,13 +265,13 @@ class _Pass:
                           for p, sl in zip(self.parts, self.slices)]
         if self.tail[0] != n1:
             self.tail = (n1, [self._rows(sl, full, n1) for sl in self.slices[:-1]])
-        nf = full * (full + 1) // 2
-        G = np.zeros(n1 * (n1 + 1) // 2, dtype=complex)
-        for ac, part, tail in zip(a, self.parts, self.tail[1]):
-            G[:nf] += (ac - a[-1]) * part[:nf]
-            G[nf:] += (ac - a[-1]) * tail
         X = np.zeros((n1, n1), dtype=complex)
-        X[np.tri(n1, dtype=bool)] = G
+        for i0 in range(0, n1, _BLOCK):   # by tiles, so temporaries stay small
+            i1 = min(i0 + _BLOCK, n1)
+            rows = [p[i0 * (i0 + 1) // 2:i1 * (i1 + 1) // 2] if i1 <= full else t
+                    for p, t in zip(self.parts, self.tail[1])]
+            X[i0:i1, :i1][np.tri(i1 - i0, i1, i0, dtype=bool)] = sum(
+                (ac - a[-1]) * r for ac, r in zip(a, rows))
         X.flat[::n1 + 1] += a[-1]
         return X
 

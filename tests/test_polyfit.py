@@ -365,9 +365,9 @@ def test_blocked_inverse_cholesky_matches_lapack(width):
     assert np.max(np.abs(X - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _four_arc_pass(k):
-    # 1024 jittered points near the unit circle, in k components of
-    # unequal size, each weighted 1/k as grid_weights does, run to 512
+def _circle_pass(k):
+    # 1024 jittered points near the unit circle, cut into k arcs of unequal
+    # size, each weighted 1/k as grid_weights does, and a pass run to 512
     rng = np.random.default_rng(5)
     z = rng.uniform(0.9, 1.0, 1024) * np.exp(2j * np.pi * np.sort(rng.uniform(0, 1, 1024)))
     sizes = {1: [1024], 2: [400, 624], 4: [100, 300, 224, 400]}[k]
@@ -384,7 +384,7 @@ def test_assembled_gram_matches_the_direct_product(k):
     # the last component's as I minus the others: it must be Q^H diag(w) Q,
     # in the lower triangle, at one block, one short of a block, exactly
     # one, one past, and the widest a fit reaches
-    core, sizes = _four_arc_pass(k)
+    core, sizes = _circle_pass(k)
     a = np.random.default_rng(k).uniform(0.1, 10.0, k)
     w = core.w * np.repeat(a, sizes)
     for width in (1, 127, 128, 129, 513):
@@ -399,7 +399,7 @@ def test_gram_parts_depend_on_the_width_only():
     # parts grown with a degree search's ladder and then read at a lower
     # width give the bits of parts built at that width, so a fit's result
     # does not depend on the search that ran before it
-    core, sizes = _four_arc_pass(4)
+    core, sizes = _circle_pass(4)
     grown = _Pass(core.z, core.y, core.w, core.slices)
     a = np.array([0.5, 2.0, 30.0, 1.0])
     for width in (9, 17, 33, 65, 129, 257):
