@@ -12,8 +12,9 @@ because the residual is measured on the returned representation, that
 failure mode shows up honestly as a plateau instead of a fake success.
 
 The Arnoldi columns are nested in degree, so one pass up to a target
-degree holds the fit at every lower degree. fit_until doubles the target
-until a fit meets the tolerance, then steps it down (see fit_until).
+degree holds the fit at every lower degree; a column is projected twice
+only where once leaves under 1/sqrt(2) of its norm. fit_until doubles the
+target until a fit meets the tolerance, then steps it down (see fit_until).
 Round 1 of every fit in that search goes through one base-weight pass
 (_Pass): each higher target grows its columns, each lower target and the
 final refit read them, and the refit resumes the reweighting rounds that
@@ -142,6 +143,17 @@ _SPREAD = 1e5  # widest spread of w / w0 a reweighting round factors (see reweig
 _MARGIN = 1.02  # max|r_m| is skipped where ||r_m||_w^2 > _MARGIN (tol^2 + 1e-9 ||y||_w^2)
 
 
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """L^{-1} of a lower triangular L by halves, X21 = -X22 L21 X11, LU inverses at 32 or fewer."""
+    n, h = len(L), len(L) // 2
+    if n <= 32:
+        return np.tril(np.linalg.inv(L))
+    X = np.zeros_like(L)
+    X[:h, :h], X[h:, h:] = _tril_inverse(L[:h, :h]), _tril_inverse(L[h:, h:])
+    X[h:, :h] = -X[h:, h:] @ (L[h:, :h] @ X[:h, :h])
+    return X
+
+
 def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
     """Overwrite X, G = L L^H in its lower triangle and 0 above, with L^{-1}, left-looking
     by block columns, LAPACK on the diagonal blocks only; L overwrites G, L^{-1} L, once read."""
@@ -149,7 +161,7 @@ def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
         K = slice(k0, k0 + _BLOCK)
         A = X[k0:, K] - X[k0:, :k0] @ X[K, :k0].conj().T
         try:
-            Xkk = np.tril(np.linalg.inv(np.linalg.cholesky(A[:_BLOCK])))
+            Xkk = _tril_inverse(np.linalg.cholesky(A[:_BLOCK]))
         except np.linalg.LinAlgError:
             raise BasisBreakdown(f"Gram matrix not positive definite from column {k0}") from None
         X[k0 + _BLOCK:, K] = A[_BLOCK:] @ Xkk.conj().T
@@ -162,11 +174,12 @@ class _Pass:
     """One Arnoldi pass at fixed weights w, grown column by column.
 
     Basis columns are built from q_0 = 1 by the shift recurrence
-    v = z * q_{m-1} and modified Gram-Schmidt with one reorthogonalization
-    pass against the weighted inner product; monomial coefficients of each
-    basis vector are synthesized alongside (C). Raw monomial normal
-    equations are never formed. The inner products read the basis in place
-    (_conj_matvec). Column m takes its weighted share <q_m, y> off the
+    v = z * q_{m-1} and classical Gram-Schmidt in the weighted inner product,
+    run twice only where once leaves under 1/sqrt(2) of ||v||_w ("twice is
+    enough": Daniel et al., Math. Comp. 1976; Giraud et al. 2005); monomial
+    coefficients of each column are synthesized alongside (C). Raw monomial
+    normal equations are never formed. The inner products read the basis in
+    place (_conj_matvec). Column m takes its weighted share <q_m, y> off the
     running residual r of the orthogonal fit, and sups[m] is max|r| there.
 
     fit(degree, tol) returns the bits of a fresh pass to degree, which
@@ -224,11 +237,13 @@ class _Pass:
             c[1:m + 1] = C[:m, m - 1]
             c[0] = 0.0 if m else 1.0
             before = float(np.linalg.norm(sw * v))
-            for _ in range(2):
+            for _ in range(2):   # twice is enough, and once where the first keeps >= 1/sqrt(2)
                 h = _conj_matvec(Q, m, w * v)
                 v = v - Q[:, :m] @ h
                 c[:m] -= C[:m, :m] @ h
-            nv = float(np.linalg.norm(sw * v))
+                nv = float(np.linalg.norm(sw * v))
+                if nv >= before * 0.5 ** 0.5:
+                    break
             if nv < 1e-14 * max(before, 1e-300):
                 raise BasisBreakdown(
                     f"orthogonalization norm underflow at column {m}; degenerate grid")
@@ -293,16 +308,13 @@ class _Pass:
         r = np.abs(y - Q @ _conj_matvec(X, n1, d))
         low = np.append(np.cumsum(np.abs(d[:0:-1]) ** 2)[::-1], 0.0) + w @ r ** 2
         high = -1.0 if tol is None else _MARGIN * (tol ** 2 + 1e-9 * (w @ np.abs(y) ** 2))
-        # by blocks of L^{-H} columns and Q rows: max|r| at each m the bound allows, and
-        # column sums of the synthesis C L^{-H}, whose first m + 1 are C_m L_m^{-H}'s
+        # by blocks of L^{-H} columns and Q rows: max|r| at each m the bound allows
         rows = [(y[i:i + _BLOCK, None], Q[i:i + _BLOCK]) for i in range(0, len(y), _BLOCK)]
-        sups, sums = np.full(n1, math.inf), np.empty(n1)
+        sups = np.full(n1, math.inf)
         for j0 in range(0, n1, _BLOCK):
             J, top = slice(j0, j0 + _BLOCK), slice(0, j0 + _BLOCK)
-            R = X[J, top].T.conj()
-            sums[J] = np.sum(np.abs(C[top, top] @ R), axis=0)
             if low[J].min() <= high:
-                K = np.cumsum(R * d[J], axis=1)
+                K = np.cumsum(X[J, top].T.conj() * d[J], axis=1)
                 K[:j0] += _conj_matvec(X[:j0], j0, d[:j0])[:, None]
                 sups[J] = np.max([np.abs(yi - Qi[:, top] @ K).max(axis=0) for yi, Qi in rows], 0)
         sups[degree] = r.max()
@@ -312,7 +324,10 @@ class _Pass:
                 res = self._residual(coeffs)
                 if m == degree or (res is not None and float(res.max()) <= tol):
                     break
-        return coeffs, float(np.max(sums[:m + 1])), float(sups[m]), res
+        # column sums of the synthesis C L^{-H}, whose first m + 1 are C_m L_m^{-H}'s
+        sums = [np.sum(np.abs(C[:j, :j] @ X[j - _BLOCK:j, :j].T.conj()), axis=0)
+                for j in range(_BLOCK, m + 1 + _BLOCK, _BLOCK)]
+        return coeffs, float(np.max(np.concatenate(sums)[:m + 1])), float(sups[m]), res
 
 
 @dataclass

@@ -286,6 +286,40 @@ def test_grown_pass_synthesis_stays_exactly_upper_triangular():
             assert not np.any(np.tril(grown.C, -1)), d
 
 
+@pytest.mark.parametrize("degree", [6, 10, 14])
+def test_pass_stays_orthonormal_on_a_lone_short_arc(degree):
+    # on a 0.02-radian arc the shifted column lies almost in the span of the
+    # columns before it, so the first projection cancels most of it and the
+    # second must run: one projection per column leaves |Q^H W Q - I| at
+    # 1.4e-3 by degree 6 and 1.0 by degree 10
+    z = sample_dilated_arc(UnitCircleArc(0.30, 0.32), 0.99, 256).points
+    w = np.full(256, 1 / 256)
+    core = _Pass(z, np.exp(z), w)
+    core.fit(degree)
+    G = core.Q.conj().T @ (w[:, None] * core.Q)
+    assert np.max(np.abs(G - np.eye(degree + 1))) <= 1e-14
+
+
+def test_pass_sups_match_two_projections_on_every_column():
+    # a column projected once, where the first projection keeps at least
+    # 1/sqrt(2) of its weighted norm, gives the residuals of a pass that
+    # projects every column twice
+    pts, tgt, w = _disc_and_arc_fit_data()
+    Q = np.zeros((len(pts), 257), dtype=complex)
+    r, want = tgt.copy(), np.zeros(257)
+    for m in range(257):
+        v = pts * Q[:, m - 1] if m else np.ones(len(pts), dtype=complex)
+        for _ in range(2):
+            v = v - Q[:, :m] @ (Q[:, :m].conj().T @ (w * v))
+        Q[:, m] = v / np.sqrt(w @ np.abs(v) ** 2)
+        r = r - np.vdot(Q[:, m], w * tgt) * Q[:, m]
+        want[m] = np.max(np.abs(r))
+    core = _Pass(pts, tgt, w)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        core.fit(256)
+    assert np.max(np.abs(core.sups - want)) <= 1e-11 * np.max(np.abs(tgt))
+
+
 def test_basis_breakdown_leaves_the_pass_as_it_was():
     # 20 points on a circle hold no independent column past degree 19
     pts = circle_grid(0.5, 20)
@@ -365,6 +399,18 @@ def test_blocked_inverse_cholesky_matches_lapack(width):
     assert np.max(np.abs(X - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 128])
+def test_triangular_inverse_matches_lapack(n):
+    # a diagonal block's inverse goes by halves down to LU inverses of at
+    # most 32 columns: a leaf, the widest leaf, one split, and a block
+    A = RNG.normal(size=(2 * n, n)) + 1j * RNG.normal(size=(2 * n, n))
+    L = np.linalg.cholesky(A.conj().T @ A)
+    X = polyfit._tril_inverse(L)
+    want = np.linalg.inv(L)
+    assert np.array_equal(X, np.tril(X))
+    assert np.max(np.abs(X - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def _circle_pass(k):
     # 1024 jittered points near the unit circle, cut into k arcs of unequal
     # size, each weighted 1/k as grid_weights does, and a pass run to 512
@@ -442,6 +488,37 @@ def test_residual_bound_skips_no_block_that_can_meet_tol(log2_stage2_compactum, 
             monkeypatch.undo()
             assert np.array_equal(got[0].view(float), want[0].view(float)), tol
             assert got[1:3] == want[1:3], tol
+
+
+@pytest.mark.parametrize("a", [[1.0, 1.0], [1.0, 40.0], [300.0, 1.0]])
+def test_growth_sums_only_the_blocks_up_to_the_chosen_degree(log2_stage2_compactum, a):
+    # a round sums the columns of the synthesis C L^{-H} only in the blocks
+    # of 128 up to the degree it returns; the growth must be the bits of
+    # sums over every block, for rounds that stop in the first, the middle
+    # and the last block
+    cc = log2_stage2_compactum
+    pts = np.concatenate([c.points for c in cc.components])
+    tgt = np.concatenate([c.target for c in cc.components])
+    sizes = [len(c.points) for c in cc.components]
+    ends = np.cumsum(sizes)
+    base = grid_weights(cc)
+    core = _Pass(pts, tgt, base / base.sum(), [slice(e - n, e) for e, n in zip(ends, sizes)])
+    a = np.array(a)
+    w = core.w * np.repeat(a, sizes)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        core.fit(256)
+        # the round's own factor: reweighted normalizes a as here
+        X = _inverse_cholesky(core._gram(a / w.sum(), 257))
+        d = X @ (core.Q.conj().T @ (w / w.sum() * tgt))
+        sups = np.abs(tgt[:, None] - core.Q @ np.cumsum(X.conj().T * d, axis=1)).max(axis=0)
+        sums = np.concatenate([np.sum(np.abs(
+            core.C[:j + 128, :j + 128] @ X[j:j + 128, :j + 128].T.conj()), axis=0)
+            for j in (0, 128, 256)])
+        for tol, block in ((sups[60], 0), (sups[200], 1), (None, 2)):
+            got = core.reweighted(a, 256, tol)
+            m = len(got[0]) - 1
+            assert m // 128 == block, tol
+            assert got[1] == float(np.max(sums[:m + 1])), tol
 
 
 def test_rank_deficient_gram_raises_and_leaves_the_pass_as_it_was():
