@@ -173,20 +173,18 @@ def solve_level_radius(phi: DiscAutomorphism, zeta: complex, t: float, r_low: fl
     if t < f_low - 1e-12:
         raise ConfigError(f"target level {t} below attainable range (starts at {f_low})")
     lo, hi = r_low, 1.0
-    best = lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    # under 56 halvings; fewer where lo and hi become adjacent floats, which no halving moves
+    while lo < mid < hi and hi - lo >= 5e-17:
         if level(mid) < t:
             lo = mid
         else:
             hi = mid
-        best = 0.5 * (lo + hi)
-        if hi - lo < 5e-17:
-            break
-    if abs(level(best) - t) > 1e-12:
+        mid = 0.5 * (lo + hi)
+    if abs(level(mid) - t) > 1e-12:
         raise InvariantViolation(
-            f"level solve stalled: |phi({best} zeta)| = {level(best)} vs target {t}")
-    return best
+            f"level solve stalled: |phi({mid} zeta)| = {level(mid)} vs target {t}")
+    return mid
 
 
 def image_circle(a: complex, R: float) -> EuclideanCircle:

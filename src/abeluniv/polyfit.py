@@ -12,9 +12,9 @@ because the residual is measured on the returned representation, that
 failure mode shows up honestly as a plateau instead of a fake success.
 
 The Arnoldi columns are nested in degree, so one pass up to a target
-degree holds the fit at every lower degree; a column is projected twice
-only where once leaves under 1/sqrt(2) of its norm. fit_until doubles the
-target until a fit meets the tolerance, then steps it down (see fit_until).
+degree holds the fit at every lower degree; they are built in blocks of 8
+by block Gram-Schmidt (see _Pass). fit_until doubles the target until a
+fit meets the tolerance, then steps it down (see fit_until).
 Round 1 of every fit in that search goes through one base-weight pass
 (_Pass): each higher target grows its columns, each lower target and the
 final refit read them, and the refit resumes the reweighting rounds that
@@ -139,6 +139,7 @@ def _conj_matvec(Q: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
 
 
 _BLOCK = 128   # block width of a reweighting round's factorization and products
+_WIDTH = 8     # columns per block of an Arnoldi pass, 1-8, 9-16, ... (see _Pass)
 _SPREAD = 1e5  # widest spread of w / w0 a reweighting round factors (see reweighted)
 _MARGIN = 1.02  # max|r_m| is skipped where ||r_m||_w^2 > _MARGIN (tol^2 + 1e-9 ||y||_w^2)
 
@@ -171,37 +172,46 @@ def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
 
 
 class _Pass:
-    """One Arnoldi pass at fixed weights w, grown column by column.
+    """One Arnoldi pass at fixed weights w, grown by aligned blocks of _WIDTH columns.
 
-    Basis columns are built from q_0 = 1 by the shift recurrence
-    v = z * q_{m-1} and classical Gram-Schmidt in the weighted inner product,
-    run twice only where once leaves under 1/sqrt(2) of ||v||_w ("twice is
-    enough": Daniel et al., Math. Comp. 1976; Giraud et al. 2005); monomial
-    coefficients of each column are synthesized alongside (C). Raw monomial
-    normal equations are never formed. The inner products read the basis in
-    place (_conj_matvec). Column m takes its weighted share <q_m, y> off the
-    running residual r of the orthogonal fit, and sups[m] is max|r| there.
+    Columns come from q_0 = 1 by the shift v = z * q_{m-1}, with their
+    monomial coefficients synthesized alongside (C); raw monomial normal
+    equations are never formed. In a block (1-8, 9-16, ...) each column is
+    orthogonalized against the _WIDTH columns before the block and the
+    block's earlier ones; the block is then projected against all columns
+    before it by two matrix products (block classical Gram-Schmidt, Barlow &
+    Smoktunowicz, Numer. Math. 2013) and orthonormalized by CholeskyQR, whose
+    positive diagonal keeps each leading coefficient positive. A block whose
+    projected weighted Gram matrix has lambda_min < 1/2, the block form of
+    "twice is enough", is rebuilt column by column (_column; Daniel et al.,
+    Math. Comp. 1976), and fallbacks lists its first column. Q and C are
+    column-major, so a prefix of Q is contiguous whatever the width.
 
-    fit(degree, tol) returns the bits of a fresh pass to degree, which
-    stops at m = degree, or with tol given at the first m where max|r| and
-    the synthesized polynomial's own residual both meet tol. A degree the
-    pass has reached is read from the columns in hand; a higher one
-    reallocates Q and C at width degree + 1, the shapes a fresh pass
-    allocates, copies the prefix and resumes the column loop. All fits
-    with tol on one pass give the same tol. A BasisBreakdown leaves the
-    pass as it was, as does reweighted(a, degree, tol), fit at weights w
-    times a[c] on the rows of component c (slices, one component if None)."""
+    fit(degree, tol) returns the bits of a fresh pass to degree, which stops
+    at m = degree, or with tol given at the first m where max|r| of the
+    orthogonal fit (sups[m]) and the synthesized polynomial's own residual
+    both meet tol; Q, C and sups end at that m. Only whole blocks are built,
+    so no column depends on the degree asked, and a breakdown past it is
+    raised by the fit that reaches it. A degree in hand is read from the
+    columns; a higher one copies them into arrays as wide as its block, the
+    shapes of a fresh pass. All fits with tol on one pass give the same tol.
+    A BasisBreakdown leaves the pass as it was, as does reweighted(a, degree,
+    tol), fit at weights w times a[c] on the rows of component c (slices)."""
 
     def __init__(self, z: np.ndarray, y: np.ndarray, w: np.ndarray, slices=None):
-        self.z, self.y, self.w, self.wy = z, y, w, w * y
+        self.z, self.y, self.w, self.wy, self.sw = z, y, w, w * y, np.sqrt(w)
         self.slices = slices or [slice(0, len(z))]
-        self.Q = np.zeros((len(z), 0), dtype=complex)
-        self.C = np.zeros((0, 0), dtype=complex)
-        self.sups = np.zeros(0)
-        self.r = y.copy()
-        self.met = False   # tol met at the last column, where the pass stopped
+        # columns built: Q, C, sups, the residual after them, the breakdown column, fallbacks
+        self.cols = (np.zeros((len(z), 0), complex, "F"), np.zeros((0, 0), complex, "F"),
+                     np.zeros(0), y.copy(), None, [])
+        self.top, self.met = -1, False   # the column the last fit stopped at; tol met there
         self.parts = [np.zeros(0, dtype=complex)] * (len(self.slices) - 1)   # see _gram
         self.tiled, self.tail = 0, (0, [])   # rows in whole tiles; (width, the rows past them)
+
+    Q = property(lambda self: self.cols[0][:, :self.top + 1])
+    C = property(lambda self: self.cols[1][:self.top + 1, :self.top + 1])
+    sups = property(lambda self: self.cols[2][:self.top + 1])
+    fallbacks = property(lambda self: self.cols[5])
 
     def _at(self, Q: np.ndarray, C: np.ndarray, sups: np.ndarray, m: int):
         """(monomial coefficients, max synthesis column growth, max|r|,
@@ -216,48 +226,70 @@ class _Pass:
         if np.all(np.isfinite(coeffs.view(float))):
             return np.abs(evaluate(ComplexPolynomial(coeffs), self.z) - self.y)
 
+    def _column(self, Q: np.ndarray, C: np.ndarray, m: int, k0: int) -> bool:
+        """Column m of Q and C from z q_{m-1}: classical Gram-Schmidt against columns k0..m-1,
+        twice where once keeps under 1/sqrt(2) of ||v||_w; False if ||v||_w falls under 1e-14."""
+        v = self.z * Q[:, m - 1] if m else np.ones(len(self.z), dtype=complex)
+        # C is upper triangular: rows m and up of C[:, :m] are exactly zero
+        c = np.append(0.0 if m else 1.0, C[:m, m - 1])
+        before = float(np.linalg.norm(self.sw * v))
+        for _ in range(2):
+            h = _conj_matvec(Q[:, k0:], m - k0, self.w * v)
+            v = v - Q[:, k0:m] @ h
+            c[:m] -= C[:m, k0:m] @ h
+            nv = float(np.linalg.norm(self.sw * v))
+            if nv >= before * 0.5 ** 0.5:
+                break
+        if nv < 1e-14 * max(before, 1e-300):
+            return False
+        Q[:, m], C[:m + 1, m] = v / nv, c / nv
+        return True
+
+    def _block(self, Q: np.ndarray, C: np.ndarray, j0: int, j1: int) -> Tuple[int, bool]:
+        """Build columns j0..j1-1 of Q and C: (the first that broke down, or j1; whether
+        they were built one at a time)."""
+        w, k0 = self.w[:, None], max(j0 - _WIDTH, 0)
+        if j1 > j0 + 1 and all(self._column(Q, C, m, k0) for m in range(j0, j1)):
+            B, P = Q[:, j0:j1], Q[:, :j0]
+            # P^H W B and P H, each reading P in place (and packing less than P @ H would)
+            H = (P.T @ (w * B).conj()).conj()
+            B -= (H.T @ P.T).T
+            C[:j0, j0:j1] -= (H.T @ C[:j0, :j0].T).T
+            G = (w * B).conj().T @ B
+            if np.linalg.eigvalsh(G)[0] >= 0.5:
+                X = _tril_inverse(np.linalg.cholesky(G)).conj().T
+                Q[:, j0:j1], C[:j1, j0:j1] = B @ X, C[:j1, j0:j1] @ X
+                return j1, False
+        end = next((m for m in range(j0, j1) if not self._column(Q, C, m, 0)), j1)
+        return end, j1 > j0 + 1
+
     def fit(self, degree: int, tol: Optional[float] = None):
-        top = len(self.sups) - 1
-        if degree <= top or (self.met and tol is not None):
-            return self._at(self.Q, self.C, self.sups, min(degree, top))
-        z, w, n = self.z, self.w, len(self.z)
-        sw = np.sqrt(w)
-        Q = np.zeros((n, degree + 1), dtype=complex)
-        C = np.zeros((degree + 1, degree + 1), dtype=complex)
-        sups = np.zeros(degree + 1)
-        Q[:, :top + 1] = self.Q[:, :top + 1]
-        C[:top + 1, :top + 1] = self.C[:top + 1, :top + 1]
-        sups[:top + 1] = self.sups
-        r = self.r.copy()
-        for m in range(top + 1, degree + 1):
-            # the shift reads a contiguous copy, as it read v when m - 1 was built
-            v = z * Q[:, m - 1].copy() if m else np.ones(n, dtype=complex)
-            # C is upper triangular: rows m and up of C[:, :m] are exactly zero
-            c = np.zeros(degree + 1, dtype=complex)
-            c[1:m + 1] = C[:m, m - 1]
-            c[0] = 0.0 if m else 1.0
-            before = float(np.linalg.norm(sw * v))
-            for _ in range(2):   # twice is enough, and once where the first keeps >= 1/sqrt(2)
-                h = _conj_matvec(Q, m, w * v)
-                v = v - Q[:, :m] @ h
-                c[:m] -= C[:m, :m] @ h
-                nv = float(np.linalg.norm(sw * v))
-                if nv >= before * 0.5 ** 0.5:
-                    break
-            if nv < 1e-14 * max(before, 1e-300):
+        if degree <= self.top or (self.met and tol is not None):
+            return self._at(*self.cols[:3], min(degree, self.top))
+        Q, C, sups, r, broken, fallbacks = self.cols
+        for m in range(self.top + 1, degree + 1):
+            if m == len(sups) and broken is None:   # m starts a block: build it
+                if m == Q.shape[1]:   # in arrays as wide as degree's block, as a fresh pass
+                    k = -(-degree // _WIDTH) * _WIDTH + 1
+                    Q, C = np.zeros((len(Q), k), complex, "F"), np.zeros((k, k), complex, "F")
+                    Q[:, :m], C[:m, :m] = self.cols[:2]
+                j1 = m + _WIDTH if m else 1
+                end, fell = self._block(Q, C, m, j1)
+                fallbacks = fallbacks + [m] * fell
+                new = []
+                for q in Q[:, m:end].T:
+                    r = r - np.vdot(q, self.wy) * q
+                    new.append(np.max(np.abs(r)))
+                sups, broken = np.append(sups, new), end if end < j1 else None
+            if m == len(sups):
                 raise BasisBreakdown(
                     f"orthogonalization norm underflow at column {m}; degenerate grid")
-            v /= nv
-            Q[:, m] = v
-            C[:, m] = c / nv
-            r -= np.vdot(v, self.wy) * v
-            sups[m] = float(np.max(np.abs(r)))
             met = tol is not None and sups[m] <= tol
             if m == degree or met:
                 fit = self._at(Q, C, sups, m)
                 met = met and fit[3] is not None and float(fit[3].max()) <= tol
                 if m == degree or met:
-                    self.Q, self.C, self.sups, self.r, self.met = Q, C, sups[:m + 1], r, met
+                    self.cols, self.top, self.met = (Q, C, sups, r, broken, fallbacks), m, met
                     return fit
 
     def _rows(self, sl: slice, i0: int, i1: int) -> np.ndarray:

@@ -13,8 +13,8 @@ failing on purpose rather than loosened:
   cancel that growth back down to the stage-4 budget.
 * criterion 5: a constant-10 target over a hairline arc needs a jump of
   height 10 at the arc endpoints.  The stage-1 fits leave a residual of
-  about half the jump (5.16, 5.01, 5.10 and 4.88 at degrees 8, 16, 32 and
-  64; 5.07 at 64 with one BLAS thread), far above the stage-1 budget of
+  about half the jump (5.16, 5.01, 5.10 and 4.93 at degrees 8, 16, 32 and
+  64, at one BLAS thread as at two), far above the stage-1 budget of
   0.0625, so the counterexample build cannot complete even one stage.  The
   residual traces to curve 1's case-II window, which opposite_pin_gap/3
   clips using curve 2's stage-3 pin; the paper's abstract does not say

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from abeluniv import geometry
 from abeluniv import (
     CollinearLine,
     ConfigError,
@@ -138,6 +139,45 @@ def test_solve_level_against_brentq():
                 lambda r: abs(apply_automorphism(phi, r * zeta)) - t, r0, 1 - 1e-14
             )
             assert abs(got - ref) < 1e-10
+
+
+def _bisect_200(phi, zeta, t, r_low):
+    # reference: 200 halvings, stopping early only once the bracket is under 5e-17
+    lo, hi, best = r_low, 1.0, r_low
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if abs(apply_automorphism(phi, mid * zeta)) < t:
+            lo = mid
+        else:
+            hi = mid
+        best = 0.5 * (lo + hi)
+        if hi - lo < 5e-17:
+            break
+    return best
+
+
+def test_solve_level_stops_at_adjacent_floats_on_the_same_radius(monkeypatch):
+    # above 0.5 the bracket reaches adjacent floats after about 52 halvings
+    # and never gets under 5e-17; the solve stops there, since later halvings
+    # move neither end, and must return the bits of the 200-halving loop
+    calls = []
+    real = geometry.apply_automorphism
+    monkeypatch.setattr(geometry, "apply_automorphism",
+                        lambda phi, z: calls.append(z) or real(phi, z))
+    solved = 0
+    for a in (0.5, 0.4 - 0.1j, 0.5j):
+        phi = DiscAutomorphism(a, 0.0)
+        for zeta in (1.0 + 0j, 1j, cmath.exp(2.1j)):
+            r0 = radial_monotone_threshold(phi, zeta)
+            for t in (0.6, 0.9, 0.97, 0.999):
+                if t < abs(real(phi, r0 * zeta)):
+                    continue
+                calls.clear()
+                got = solve_level_radius(phi, zeta, t, r0)
+                assert len(calls) <= 64, (a, zeta, t)
+                assert got == _bisect_200(phi, zeta, t, r0), (a, zeta, t)
+                solved += 1
+    assert solved >= 24
 
 
 def test_threshold_closed_form():

@@ -232,14 +232,17 @@ def test_least_squares_optimality_under_perturbation():
 def test_conj_matvec_matches_the_conjugated_copy_bitwise():
     # the fit core reads the basis in place; its bits must stay those of the
     # conjugated prefix copy at every width, or payloads drift silently
+    # (row-major, and column-major as the Arnoldi pass stores it)
     n, width = 1024, 80
-    Q = RNG.normal(size=(n, width)) + 1j * RNG.normal(size=(n, width))
-    x = RNG.normal(size=n) + 1j * RNG.normal(size=n)
-    for m in range(65):
-        got = _conj_matvec(Q, m, x)
-        want = Q[:, :m].conj().T @ x
-        assert got.shape == want.shape == (m,)
-        assert np.array_equal(got.view(float), want.view(float)), m
+    for order in "CF":
+        Q = np.asarray(RNG.normal(size=(n, width)) + 1j * RNG.normal(size=(n, width)),
+                       order=order)
+        x = RNG.normal(size=n) + 1j * RNG.normal(size=n)
+        for m in range(65):
+            got = _conj_matvec(Q, m, x)
+            want = Q[:, :m].conj().T @ x
+            assert got.shape == want.shape == (m,)
+            assert np.array_equal(got.view(float), want.view(float)), (order, m)
 
 
 def _disc_and_arc_compactum():
@@ -274,6 +277,52 @@ def test_grown_pass_matches_a_fresh_pass_bitwise(tol):
             assert len(got[0]) - 1 == (d if tol is None or d < 32 else 31)
 
 
+@pytest.mark.parametrize("tol", [None, 1e-9])
+def test_grown_pass_matches_a_fresh_pass_off_block_boundaries(tol):
+    # the pass builds whole blocks of 8 columns, so a target inside a block
+    # leaves columns built past it. Grown up through targets on and off the
+    # block boundaries and read back down, it must return the bits of a
+    # fresh pass to each target (at tol 1e-9 both stop at degree 31)
+    pts, tgt, w = _disc_and_arc_fit_data()
+    grown = _Pass(pts, tgt, w)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for d in (8, 12, 16, 20, 32, 64, 100, 128, 219, 256, 219, 100, 20, 12):
+            got, want = grown.fit(d, tol), _Pass(pts, tgt, w).fit(d, tol)
+            assert np.array_equal(got[0].view(float), want[0].view(float)), d
+            assert got[1:3] == want[1:3], d
+            assert len(got[0]) - 1 == (d if tol is None or d < 32 else 31)
+
+
+def test_blocks_pass_their_test_on_the_disc_and_arc_data():
+    # every block of the disc-and-arc pass keeps lambda_min >= 1/2 of its
+    # projected Gram matrix: none is rebuilt column by column
+    core = _Pass(*_disc_and_arc_fit_data())
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        core.fit(512)
+    assert core.fallbacks == []
+    G = core.Q.conj().T @ (core.w[:, None] * core.Q)
+    assert np.max(np.abs(G - np.eye(513))) <= 2e-15
+
+
+def test_a_block_holding_a_dependent_column_is_built_column_by_column():
+    # 20 points on a circle hold columns 0..19 only, so the block 17-24
+    # fails the block test and is rebuilt one column at a time: fit(19)
+    # succeeds with the breakdown at column 20 recorded, and fit(20), grown
+    # or fresh, raises it and leaves the pass as it was
+    pts = circle_grid(0.5, 20)
+    w = np.full(20, 1 / 20)
+    core = _Pass(pts, np.exp(pts), w)
+    core.fit(19)
+    assert core.fallbacks == [17]
+    G = core.Q.conj().T @ (w[:, None] * core.Q)
+    assert np.max(np.abs(G - np.eye(20))) <= 1e-14
+    Q = core.Q.copy()
+    for grown in (core, _Pass(pts, np.exp(pts), w)):
+        with pytest.raises(BasisBreakdown, match="at column 20"):
+            grown.fit(20)
+    assert np.array_equal(core.Q, Q) and len(core.sups) == 20
+
+
 def test_grown_pass_synthesis_stays_exactly_upper_triangular():
     # the column loop reads only rows 0..m-1 of C[:, :m] when it shifts and
     # orthogonalizes the monomial coefficients, which is exact only while
@@ -286,12 +335,15 @@ def test_grown_pass_synthesis_stays_exactly_upper_triangular():
             assert not np.any(np.tril(grown.C, -1)), d
 
 
-@pytest.mark.parametrize("degree", [6, 10, 14])
+@pytest.mark.parametrize("degree", [6, 10, 14, 20, 30])
 def test_pass_stays_orthonormal_on_a_lone_short_arc(degree):
     # on a 0.02-radian arc the shifted column lies almost in the span of the
     # columns before it, so the first projection cancels most of it and the
     # second must run: one projection per column leaves |Q^H W Q - I| at
-    # 1.4e-3 by degree 6 and 1.0 by degree 10
+    # 1.4e-3 by degree 6 and 1.0 by degree 10. In blocks of 8 the same holds
+    # for the projection against the 8 columns before the block: projected
+    # only once, a block's Gram matrix is singular, and only the column by
+    # column rebuild keeps the pass orthonormal
     z = sample_dilated_arc(UnitCircleArc(0.30, 0.32), 0.99, 256).points
     w = np.full(256, 1 / 256)
     core = _Pass(z, np.exp(z), w)
