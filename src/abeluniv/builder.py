@@ -421,7 +421,8 @@ def _run_stages(series: UniversalSeries, cfg: BuildConfig, N: int,
             series.failure = StageFailure(
                 n, "tolerance-unreachable",
                 {"tol": tol, "history": list(exc.history),
-                 "best_sup": exc.report.sup_error if exc.report else None})
+                 "best_sup": exc.report.sup_error if exc.report else None,
+                 "lower_bound": exc.lower_bound, "bound_degree": exc.bound_degree})
             return
         sups = _component_sups(cc, poly)
         if sups.get("DiscBoundary", 0.0) > eps[n]:

@@ -51,12 +51,16 @@ class ToleranceUnreachable(RuntimeError):
     """Degree budget exhausted before the requested tolerance.
 
     No fit at any doubling target of fit_until met it. Carries the best of
-    those fits, its report, and the (degree, sup) history of the targets so
-    callers can record the residual plateau.
+    those fits, its report, the (degree, sup) history of the targets so
+    callers can record the residual plateau, and lower_bound, at most the
+    grid sup of every polynomial of degree <= bound_degree (None if unknown).
     """
 
-    def __init__(self, message, polynomial=None, report=None, history=None):
+    def __init__(self, message, polynomial=None, report=None, history=None,
+                 bound_degree=None, lower_bound=None):
         super().__init__(message)
         self.polynomial = polynomial
         self.report = report
         self.history = list(history or [])
+        self.bound_degree = bound_degree
+        self.lower_bound = lower_bound

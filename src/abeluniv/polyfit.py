@@ -17,15 +17,16 @@ by block Gram-Schmidt (see _Pass). fit_until doubles the target until a
 fit meets the tolerance, then steps it down (see fit_until).
 Round 1 of every fit in that search goes through one base-weight pass
 (_Pass): each higher target grows its columns, each lower target and the
-final refit read them, and the refit resumes the reweighting rounds that
-the fit at its degree already ran; rounds 2-8 reweight its columns from
-per-component Gram parts it keeps, measuring max|r| only where tol can hold.
+final refit read them. Rounds 2-8 reweight its columns by one Cholesky
+factorization of their weighted Gram matrix, and run only where the pass's
+weighted-L2 residual, a lower bound on every sup at that degree, lets tol
+be met.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -141,7 +142,6 @@ def _conj_matvec(Q: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
 _BLOCK = 128   # block width of a reweighting round's factorization and products
 _WIDTH = 8     # columns per block of an Arnoldi pass, 1-8, 9-16, ... (see _Pass)
 _SPREAD = 1e5  # widest spread of w / w0 a reweighting round factors (see reweighted)
-_MARGIN = 1.02  # max|r_m| is skipped where ||r_m||_w^2 > _MARGIN (tol^2 + 1e-9 ||y||_w^2)
 
 
 def _tril_inverse(L: np.ndarray) -> np.ndarray:
@@ -171,6 +171,16 @@ def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _gram(Q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Q^H diag(w) Q in the lower triangle of a new array and 0 above, by row tiles of
+    _BLOCK, so that temporaries stay n x _BLOCK."""
+    X = np.zeros((Q.shape[1], Q.shape[1]), dtype=complex)
+    for i0 in range(0, len(X), _BLOCK):
+        B = Q[:, i0:i0 + _BLOCK].conj() * w[:, None]
+        X[i0:i0 + _BLOCK, :i0 + _BLOCK] = np.tril(B.T @ Q[:, :i0 + _BLOCK], i0)
+    return X
+
+
 class _Pass:
     """One Arnoldi pass at fixed weights w, grown by aligned blocks of _WIDTH columns.
 
@@ -190,9 +200,11 @@ class _Pass:
     fit(degree, tol) returns the bits of a fresh pass to degree, which stops
     at m = degree, or with tol given at the first m where max|r| of the
     orthogonal fit (sups[m]) and the synthesized polynomial's own residual
-    both meet tol; Q, C and sups end at that m. Only whole blocks are built,
-    so no column depends on the degree asked, and a breakdown past it is
-    raised by the fit that reaches it. A degree in hand is read from the
+    both meet tol; Q, C, sups and lows end at that m. lows[m] is ||r_m||_w^2
+    of the same running residual: as w sums to 1, its root bounds from below
+    max|y - p| on the grid for every p of degree <= m. Only whole blocks are
+    built, so no column depends on the degree asked, and a breakdown past it
+    is raised by the fit that reaches it. A degree in hand is read from the
     columns; a higher one copies them into arrays as wide as its block, the
     shapes of a fresh pass. All fits with tol on one pass give the same tol.
     A BasisBreakdown leaves the pass as it was, as does reweighted(a, degree,
@@ -201,17 +213,16 @@ class _Pass:
     def __init__(self, z: np.ndarray, y: np.ndarray, w: np.ndarray, slices=None):
         self.z, self.y, self.w, self.wy, self.sw = z, y, w, w * y, np.sqrt(w)
         self.slices = slices or [slice(0, len(z))]
-        # columns built: Q, C, sups, the residual after them, the breakdown column, fallbacks
+        # built: Q, C, sups, lows, the residual after them, the breakdown column, fallbacks
         self.cols = (np.zeros((len(z), 0), complex, "F"), np.zeros((0, 0), complex, "F"),
-                     np.zeros(0), y.copy(), None, [])
+                     np.zeros(0), np.zeros(0), y.copy(), None, [])
         self.top, self.met = -1, False   # the column the last fit stopped at; tol met there
-        self.parts = [np.zeros(0, dtype=complex)] * (len(self.slices) - 1)   # see _gram
-        self.tiled, self.tail = 0, (0, [])   # rows in whole tiles; (width, the rows past them)
 
     Q = property(lambda self: self.cols[0][:, :self.top + 1])
     C = property(lambda self: self.cols[1][:self.top + 1, :self.top + 1])
     sups = property(lambda self: self.cols[2][:self.top + 1])
-    fallbacks = property(lambda self: self.cols[5])
+    lows = property(lambda self: self.cols[3][:self.top + 1])
+    fallbacks = property(lambda self: self.cols[6])
 
     def _at(self, Q: np.ndarray, C: np.ndarray, sups: np.ndarray, m: int):
         """(monomial coefficients, max synthesis column growth, max|r|,
@@ -266,7 +277,7 @@ class _Pass:
     def fit(self, degree: int, tol: Optional[float] = None):
         if degree <= self.top or (self.met and tol is not None):
             return self._at(*self.cols[:3], min(degree, self.top))
-        Q, C, sups, r, broken, fallbacks = self.cols
+        Q, C, sups, lows, r, broken, fallbacks = self.cols
         for m in range(self.top + 1, degree + 1):
             if m == len(sups) and broken is None:   # m starts a block: build it
                 if m == Q.shape[1]:   # in arrays as wide as degree's block, as a fresh pass
@@ -276,11 +287,13 @@ class _Pass:
                 j1 = m + _WIDTH if m else 1
                 end, fell = self._block(Q, C, m, j1)
                 fallbacks = fallbacks + [m] * fell
-                new = []
+                new, low = [], []
                 for q in Q[:, m:end].T:
                     r = r - np.vdot(q, self.wy) * q
                     new.append(np.max(np.abs(r)))
-                sups, broken = np.append(sups, new), end if end < j1 else None
+                    low.append(self.w @ np.abs(r) ** 2)
+                sups, lows = np.append(sups, new), np.append(lows, low)
+                broken = end if end < j1 else None
             if m == len(sups):
                 raise BasisBreakdown(
                     f"orthogonalization norm underflow at column {m}; degenerate grid")
@@ -289,38 +302,9 @@ class _Pass:
                 fit = self._at(Q, C, sups, m)
                 met = met and fit[3] is not None and float(fit[3].max()) <= tol
                 if m == degree or met:
-                    self.cols, self.top, self.met = (Q, C, sups, r, broken, fallbacks), m, met
+                    self.cols = (Q, C, sups, lows, r, broken, fallbacks)
+                    self.top, self.met = m, met
                     return fit
-
-    def _rows(self, sl: slice, i0: int, i1: int) -> np.ndarray:
-        """Rows i0..i1-1 of Q_c^H diag(w_c) Q_c, packed, from an n_c x (i1 - i0) temporary."""
-        B = self.Q[sl, i0:i1].conj()
-        B *= self.w[sl, None]
-        return (B.T @ self.Q[sl, :i1])[np.tri(i1 - i0, i1, i0, dtype=bool)]
-
-    def _gram(self, a: np.ndarray, n1: int) -> np.ndarray:
-        """Q^H diag(w) Q, w = self.w times a[c] on component c, at width n1 in the
-        lower triangle of a new array: a_last I + sum (a_c - a_last) G_c, as the
-        parts G_c = Q_c^H diag(w_c) Q_c sum to I. Each part but the last is kept
-        packed by rows, so a prefix serves every width, in tiles of _BLOCK built
-        once; rows past the last whole tile are built per width, so bits depend
-        on the width only."""
-        full = n1 - n1 % _BLOCK
-        while self.tiled < full:
-            self.tiled += _BLOCK
-            self.parts = [np.concatenate((p, self._rows(sl, self.tiled - _BLOCK, self.tiled)))
-                          for p, sl in zip(self.parts, self.slices)]
-        if self.tail[0] != n1:
-            self.tail = (n1, [self._rows(sl, full, n1) for sl in self.slices[:-1]])
-        X = np.zeros((n1, n1), dtype=complex)
-        for i0 in range(0, n1, _BLOCK):   # by tiles, so temporaries stay small
-            i1 = min(i0 + _BLOCK, n1)
-            rows = [p[i0 * (i0 + 1) // 2:i1 * (i1 + 1) // 2] if i1 <= full else t
-                    for p, t in zip(self.parts, self.tail[1])]
-            X[i0:i1, :i1][np.tri(i1 - i0, i1, i0, dtype=bool)] = sum(
-                (ac - a[-1]) * r for ac, r in zip(a, rows))
-        X.flat[::n1 + 1] += a[-1]
-        return X
 
     def reweighted(self, a: np.ndarray, degree: int, tol: Optional[float] = None):
         """fit's tuple at weights w = self.w times a[c] on component c, summing to 1,
@@ -328,28 +312,22 @@ class _Pass:
         Q those columns and Q^H diag(w) Q = L L^H (_gram), every prefix of Q L^{-H} is
         w-orthonormal, and d = L^{-1} Q^H w y. That costs about spread^1.5 * eps of
         max|y|, spread that of a (1e-10 at 1e4), so past _SPREAD it runs a fresh pass.
-        As max|r_m|^2 >= ||r_m||_w^2 = ||r_degree||_w^2 + sum_{j>m} |d_j|^2, max|r_m|
-        is computed at degree and in the blocks of m where that bound nears tol."""
+        max|r_m| is computed at every m, by blocks of _BLOCK rows and columns."""
         w = self.w * np.repeat(a, [sl.stop - sl.start for sl in self.slices])
         a, w = a / w.sum(), w / w.sum()
         if not a.max() <= _SPREAD * a.min():
             return _Pass(self.z, self.y, w).fit(degree, tol)
         n1, y, Q, C = degree + 1, self.y, self.Q[:, :degree + 1], self.C[:degree + 1, :degree + 1]
-        X = _inverse_cholesky(self._gram(a, n1))
+        X = _inverse_cholesky(_gram(Q, w))
         d = X @ _conj_matvec(Q, n1, w * y)
-        r = np.abs(y - Q @ _conj_matvec(X, n1, d))
-        low = np.append(np.cumsum(np.abs(d[:0:-1]) ** 2)[::-1], 0.0) + w @ r ** 2
-        high = -1.0 if tol is None else _MARGIN * (tol ** 2 + 1e-9 * (w @ np.abs(y) ** 2))
-        # by blocks of L^{-H} columns and Q rows: max|r| at each m the bound allows
         rows = [(y[i:i + _BLOCK, None], Q[i:i + _BLOCK]) for i in range(0, len(y), _BLOCK)]
-        sups = np.full(n1, math.inf)
+        sups = np.empty(n1)
         for j0 in range(0, n1, _BLOCK):
             J, top = slice(j0, j0 + _BLOCK), slice(0, j0 + _BLOCK)
-            if low[J].min() <= high:
-                K = np.cumsum(X[J, top].T.conj() * d[J], axis=1)
-                K[:j0] += _conj_matvec(X[:j0], j0, d[:j0])[:, None]
-                sups[J] = np.max([np.abs(yi - Qi[:, top] @ K).max(axis=0) for yi, Qi in rows], 0)
-        sups[degree] = r.max()
+            K = np.cumsum(X[J, top].T.conj() * d[J], axis=1)
+            K[:j0] += _conj_matvec(X[:j0], j0, d[:j0])[:, None]
+            sups[J] = np.max([np.abs(yi - Qi[:, top] @ K).max(axis=0) for yi, Qi in rows], 0)
+        sups[degree] = np.abs(y - Q @ _conj_matvec(X, n1, d)).max()
         for m in range(n1):
             if m == degree or (tol is not None and sups[m] <= tol):
                 coeffs = C[:m + 1, :m + 1] @ _conj_matvec(X[:m + 1], m + 1, d[:m + 1])
@@ -364,16 +342,11 @@ class _Pass:
 
 @dataclass
 class _Search:
-    """What the fits of one fit_until search (one tol) share.
-
-    base is the base-weight pass of round 1 of every fit in the search:
-    ladder targets grow it, step-down targets and the final refit read it.
-    rounds maps a degree to the state after the passing round of a fit
-    with tol whose rounds all ran to that degree: the fit without tol there
-    ran the same rounds, and resumes after them."""
+    """What the fits of one fit_until search (one tol) share: base, the
+    base-weight pass of round 1 of every fit in the search. Ladder targets
+    grow it, step-down targets and the final refit read it."""
 
     base: Optional[_Pass] = None
-    rounds: dict = field(default_factory=dict)
 
 
 def fit_polynomial(cc: CompoundCompactum, degree: int, *,
@@ -389,7 +362,9 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
     steer the reweighting. Round 1 runs an Arnoldi pass at the base weights,
     search.base, and later rounds reweight its columns. With tol given, a
     round may stop below degree, and the first round whose fit meets tol
-    wins. search, which fit_until's fits share, does not change the result."""
+    wins; where round 1 misses tol and the pass's ||r_degree||_w exceeds it,
+    no polynomial of that degree can meet tol, and no further round runs.
+    search, which fit_until's fits share, does not change the result."""
     if degree < 0:
         raise ConfigError("degree must be >= 0")
     for c in cc.components:
@@ -404,11 +379,9 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
     slices = [slice(end - n, end) for end, n in zip(np.cumsum(sizes), sizes)]
     base = grid_weights(cc)
 
-    best, basis_sup, scale, first = None, math.inf, np.ones(len(cc.components)), 0
+    best, basis_sup, scale = None, math.inf, np.ones(len(cc.components))
     search = search or _Search()
-    if tol is None and degree in search.rounds:
-        best, basis_sup, scale, first = search.rounds[degree]
-    for k in range(first, 8):
+    for k in range(8):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             if k == 0:
                 search.base = search.base or _Pass(pts, tgt, base / base.sum(), slices)
@@ -438,13 +411,10 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
             best = (sup, rms, growth, poly)
         else:
             break
-        if sup == 0.0:
+        if sup == 0.0 or tol is not None and (
+                sup <= tol or k == 0 and search.base.lows[degree] > tol * tol):
             break
         scale = scale * np.maximum(comp_sup / sup, 1e-4)
-        if tol is not None and sup <= tol:
-            if poly.degree == degree:
-                search.rounds[degree] = (best, basis_sup, scale, k + 1)
-            break
 
     sup, rms, growth, poly = best
     return poly, FitReport(poly.degree, sup, rms, growth, 0, basis_sup)
@@ -460,8 +430,9 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
     tol somewhere. The result is fit_polynomial at the last passing degree,
     or the passing fit in hand should that refit miss tol, so sup_error is
     always <= tol and measured on the returned vector. Otherwise the call
-    raises with the best attempt and the (degree, sup) history of the
-    targets, and says when only FitReport.basis_sup met tol."""
+    raises with the best attempt, the (degree, sup) history of the targets
+    and the lower bound ||r_m||_w of the base pass at the highest degree m
+    it reached, and says when only FitReport.basis_sup met tol."""
     if tol <= 0:
         raise ConfigError("tol must be positive")
     top = min(max_degree, sum(len(c.points) for c in cc.components) - 1)
@@ -501,6 +472,7 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
         if rep.basis_sup <= tol and (noisy is None or rep.basis_sup < noisy[1]):
             noisy = (rep.degree, rep.basis_sup)
     plateau = ", ".join(f"{d}:{s:.3e}" for d, s in history)
+    m = search.base.top   # the highest degree the base pass reached, -1 if none
     if noisy is None:
         why = f"tolerance {tol:.3e} unreachable within degree {max_degree}"
     else:
@@ -511,4 +483,5 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
     raise ToleranceUnreachable(
         f"{why}; residual plateau [{plateau}]",
         polynomial=best[0] if best else None,
-        report=best[1] if best else None, history=history)
+        report=best[1] if best else None, history=history, bound_degree=m if m >= 0 else None,
+        lower_bound=math.sqrt(search.base.lows[m]) if m >= 0 else None)

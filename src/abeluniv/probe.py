@@ -166,10 +166,6 @@ class DilateReport:
                              "best_n": row["n"], "best_error": row["sup_error"]}
         return DilateReport(rows, [best[k] for k in sorted(best)])
 
-    def errors_for(self, target_id: int, arc_id: int) -> List[float]:
-        return [r["sup_error"] for r in self.rows
-                if r["target_id"] == target_id and r["arc_id"] == arc_id]
-
     def best_for(self, target_id: int, arc_id: int) -> dict:
         for b in self.best:
             if b["target_id"] == target_id and b["arc_id"] == arc_id:

@@ -10,15 +10,19 @@ failing on purpose rather than loosened:
 * criterion 3: the eight-stage membership build dies at stage 4.  The
   degree-205 stage-3 correction, fit at radius 0.875, grows by orders of
   magnitude at radius 0.9375, and no polynomial under the degree cap can
-  cancel that growth back down to the stage-4 budget.
+  cancel that growth back down to the stage-4 budget of 0.0078: the
+  failure is bracketed by [26.89, 519.90], a certified lower bound for
+  every polynomial of degree at most 512 on the stage-4 grid and the
+  best fit measured.
 * criterion 5: a constant-10 target over a hairline arc needs a jump of
-  height 10 at the arc endpoints.  The stage-1 fits leave a residual of
-  about half the jump (5.16, 5.01, 5.10 and 4.93 at degrees 8, 16, 32 and
-  64, at one BLAS thread as at two), far above the stage-1 budget of
-  0.0625, so the counterexample build cannot complete even one stage.  The
-  residual traces to curve 1's case-II window, which opposite_pin_gap/3
-  clips using curve 2's stage-3 pin; the paper's abstract does not say
-  whether clipping across stages is required.
+  height 10 at the arc endpoints.  The failure is bracketed by
+  [0.3252, 6.8186]: no polynomial of degree at most 512 gets under 0.3252
+  on the stage-1 grid, and the best fit measured, round 1's at degree 8,
+  reaches 6.818584631925382 at one BLAS thread as at two, far above the
+  stage-1 budget of 0.0625, so the counterexample build cannot complete
+  even one stage.  The residual traces to curve 1's case-II window, which
+  opposite_pin_gap/3 clips using curve 2's stage-3 pin; the paper's
+  abstract does not say whether clipping across stages is required.
 
 README.md discusses both in detail.
 """
@@ -264,7 +268,8 @@ def test_criterion_05_precomposition_counterexample():
                f"build died at stage {f.n} ({f.reason}): a constant-10 target "
                f"over a 0.02-radian arc forces a height-10 jump, and with "
                f"curve 1's case-II window clipped by curve 2's stage-3 pin "
-               f"the fit misses by about half the jump; best fit {best:.3g} "
+               f"no degree <= {f.detail['bound_degree']} gets under "
+               f"{f.detail['lower_bound']:.3g}; best fit {best:.3g} "
                f"vs stage budget {f.detail['tol']:.3g} ({elapsed:.0f}s)")
         assert series.succeeded, (
             f"stage {f.n} unreachable: best {best:.3g} vs budget "

@@ -10,10 +10,14 @@ Both are exercised against compute_witness below.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import abeluniv
 from abeluniv import (
     BuildConfig,
     ComplexPolynomial,
@@ -321,6 +325,12 @@ def test_membership_failure_is_data():
     assert len(s.stages) == 2
     assert [d for d, _ in s.failure.detail["history"]] == [8, 16, 32, 64]
     assert s.failure.detail["tol"] == 0.5 * cfg.eps.eps[3]
+    # the failure is bracketed: no degree <= 64 gets under the lower bound
+    # on the grid, and the best fit measured lies above it
+    assert s.failure.detail["bound_degree"] == 64
+    bound = s.failure.detail["lower_bound"]
+    assert 0 < bound <= min(e for _, e in s.failure.detail["history"])
+    assert bound <= s.failure.detail["best_sup"]
 
 
 def test_build_validation(two_target_cfg):
@@ -547,6 +557,35 @@ def test_counterexample_series_round_trip():
     s2 = series_from_dict(json.loads(blob))
     assert json.dumps(series_to_dict(s2), sort_keys=True) == blob
     assert s2.extras["witness"].eta[1] == w.eta[1]
+
+
+_CRITERION_5_BUILD = """
+import json
+from abeluniv import *
+rho = RadiiSchedule.default(10)
+cfg = BuildConfig(rho, EpsilonSchedule.default(10), TargetEnumeration.cyclic(
+    [ComplexPolynomial([10.0])], [UnitCircleArc(3.1316, 3.1516), UnitCircleArc(0.30, 0.32)], 6),
+    arc_density=512, max_degree=512)
+w = compute_witness(DiscAutomorphism(0.5, 0.0), 1 + 0j, 1j, rho, 6)
+f = build_counterexample_series(cfg, DiscAutomorphism(0.5, 0.0), w, 6)[0].failure
+print(json.dumps([f.n, [d for d, _ in f.detail["history"]], f.detail["best_sup"]]))
+"""
+
+
+def test_counterexample_failure_does_not_depend_on_the_blas_thread_count():
+    # the criterion-5 build fails at stage 1 with round-1 values, which
+    # agree at 1 and 2 BLAS threads; the thread count is read once, when
+    # the BLAS library loads, so each count runs in a process of its own
+    src = os.path.dirname(os.path.dirname(abeluniv.__file__))
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", _CRITERION_5_BUILD], stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=t,
+                 PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])))
+        for t in ("1", "2")]
+    (n1, hist1, best1), (n2, hist2, best2) = (json.loads(p.communicate()[0]) for p in runs)
+    assert n1 == n2 == 1
+    assert hist1 == hist2
+    assert best1 == pytest.approx(best2, rel=1e-12)
 
 
 # parameter-invariant stage (shift family pulled back through the center)

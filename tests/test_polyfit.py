@@ -38,7 +38,7 @@ from abeluniv import polyfit
 from abeluniv.builder import _membership_stage_compactum
 from abeluniv.compacta import SampledComponent
 from abeluniv.cli import main as cli_main
-from abeluniv.polyfit import _Pass, _conj_matvec, _inverse_cholesky, grid_weights
+from abeluniv.polyfit import _Pass, _conj_matvec, _gram, _inverse_cholesky, grid_weights
 
 RNG = np.random.default_rng(991)
 
@@ -436,6 +436,39 @@ def test_reweighted_round_past_the_spread_limit_is_a_fresh_pass(spread):
     assert np.array_equal(core.Q, Q)
 
 
+def test_weighted_residual_bounds_every_sup_from_below():
+    # the pass's ||r_m||_w, with w summing to 1, is at most max|y - p| on
+    # the grid for every p of degree <= m: its own orthogonal fit's, and
+    # the fits of reweighting rounds at other weights, before and after
+    # monomial synthesis
+    pts, tgt, base = _disc_and_arc_fit_data()
+    core = _Pass(pts, tgt, base, DISC_AND_ARC)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        core.fit(256)
+        bound = np.sqrt(core.lows)
+        assert len(bound) == 257 and np.all(bound <= core.sups)
+        for a in ([1.0, 40.0], [300.0, 1.0]):
+            for d in (8, 16, 32, 64, 128, 256):
+                _, _, sup, res = core.reweighted(np.array(a), d)
+                assert bound[d] <= sup and bound[d] <= res.max(), (a, d)
+
+
+def test_gram_tiles_give_the_lower_triangle_of_the_direct_product():
+    # a round's Gram matrix is built in row tiles of 128: in the lower
+    # triangle, with zeros above, at one column, one short of a tile,
+    # exactly one, one past, and the widest a fit reaches
+    pts, tgt, base = _disc_and_arc_fit_data()
+    core = _Pass(pts, tgt, base)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        core.fit(512)
+    w = base * np.repeat([1.0, 40.0], 512)
+    for width in (1, 127, 128, 129, 513):
+        Q = core.Q[:, :width]
+        G = _gram(Q, w)
+        assert np.array_equal(G, np.tril(G)), width
+        assert np.max(np.abs(G - np.tril(Q.conj().T @ (w[:, None] * Q)))) <= 1e-14 * 40, width
+
+
 @pytest.mark.parametrize("width", [1, 127, 128, 129, 513])
 def test_blocked_inverse_cholesky_matches_lapack(width):
     # factor and inverse go by blocks of 128 columns: one block, one short
@@ -463,85 +496,6 @@ def test_triangular_inverse_matches_lapack(n):
     assert np.max(np.abs(X - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _circle_pass(k):
-    # 1024 jittered points near the unit circle, cut into k arcs of unequal
-    # size, each weighted 1/k as grid_weights does, and a pass run to 512
-    rng = np.random.default_rng(5)
-    z = rng.uniform(0.9, 1.0, 1024) * np.exp(2j * np.pi * np.sort(rng.uniform(0, 1, 1024)))
-    sizes = {1: [1024], 2: [400, 624], 4: [100, 300, 224, 400]}[k]
-    ends = np.cumsum(sizes)
-    w0 = np.concatenate([np.full(n, 1.0 / n) for n in sizes])
-    core = _Pass(z, np.exp(z), w0 / w0.sum(), [slice(e - n, e) for e, n in zip(ends, sizes)])
-    core.fit(512)
-    return core, sizes
-
-
-@pytest.mark.parametrize("k", [1, 2, 4])
-def test_assembled_gram_matches_the_direct_product(k):
-    # a round's Gram matrix comes from the base pass's per-component parts,
-    # the last component's as I minus the others: it must be Q^H diag(w) Q,
-    # in the lower triangle, at one block, one short of a block, exactly
-    # one, one past, and the widest a fit reaches
-    core, sizes = _circle_pass(k)
-    a = np.random.default_rng(k).uniform(0.1, 10.0, k)
-    w = core.w * np.repeat(a, sizes)
-    for width in (1, 127, 128, 129, 513):
-        G = core._gram(a, width)
-        Q = core.Q[:, :width]
-        want = Q.conj().T @ (w[:, None] * Q)
-        assert np.array_equal(G, np.tril(G)), width
-        assert np.max(np.abs(G - np.tril(want))) <= 2e-14 * a.max(), width
-
-
-def test_gram_parts_depend_on_the_width_only():
-    # parts grown with a degree search's ladder and then read at a lower
-    # width give the bits of parts built at that width, so a fit's result
-    # does not depend on the search that ran before it
-    core, sizes = _circle_pass(4)
-    grown = _Pass(core.z, core.y, core.w, core.slices)
-    a = np.array([0.5, 2.0, 30.0, 1.0])
-    for width in (9, 17, 33, 65, 129, 257):
-        grown.fit(width - 1)
-        grown._gram(a, width)
-    for width in (219, 129, 100):
-        fresh = _Pass(core.z, core.y, core.w, core.slices)
-        fresh.fit(width - 1)
-        assert np.array_equal(grown._gram(a, width), fresh._gram(a, width)), width
-
-
-@pytest.mark.parametrize("a", [[1.0, 1.0], [1.0, 40.0], [300.0, 1.0]])
-def test_residual_bound_skips_no_block_that_can_meet_tol(log2_stage2_compactum, monkeypatch, a):
-    # a round computes max|r_m| only in blocks of m whose lower bound
-    # ||r_m||_w comes within _MARGIN of tol. With tol at (and just under)
-    # the sup of several m, and under every sup, where blocks are skipped,
-    # it must return the bits of a round that computes every block
-    cc = log2_stage2_compactum
-    pts = np.concatenate([c.points for c in cc.components])
-    tgt = np.concatenate([c.target for c in cc.components])
-    sizes = [len(c.points) for c in cc.components]
-    ends = np.cumsum(sizes)
-    base = grid_weights(cc)
-    core = _Pass(pts, tgt, base / base.sum(), [slice(e - n, e) for e, n in zip(ends, sizes)])
-    w = core.w * np.repeat(a, sizes)
-    a = np.array(a) / w.sum()
-    w /= w.sum()
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        core.fit(256)
-        # max|r_m| at every m from the round's own factor
-        X = _inverse_cholesky(core._gram(a, 257))
-        d = X @ (core.Q.conj().T @ (w * tgt))
-        sups = np.abs(tgt[:, None] - core.Q @ np.cumsum(X.conj().T * d, axis=1)).max(axis=0)
-        tols = [t for m in (20, 100, 127, 128, 200, 230, 250, 255)
-                for t in (sups[m], sups[m] * (1 - 1e-9))]
-        for tol in tols + [0.9 * sups.min(), 0.1 * sups.min()]:
-            got = core.reweighted(a, 256, tol)
-            monkeypatch.setattr(polyfit, "_MARGIN", math.inf)
-            want = core.reweighted(a, 256, tol)
-            monkeypatch.undo()
-            assert np.array_equal(got[0].view(float), want[0].view(float)), tol
-            assert got[1:3] == want[1:3], tol
-
-
 @pytest.mark.parametrize("a", [[1.0, 1.0], [1.0, 40.0], [300.0, 1.0]])
 def test_growth_sums_only_the_blocks_up_to_the_chosen_degree(log2_stage2_compactum, a):
     # a round sums the columns of the synthesis C L^{-H} only in the blocks
@@ -559,8 +513,8 @@ def test_growth_sums_only_the_blocks_up_to_the_chosen_degree(log2_stage2_compact
     w = core.w * np.repeat(a, sizes)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         core.fit(256)
-        # the round's own factor: reweighted normalizes a as here
-        X = _inverse_cholesky(core._gram(a / w.sum(), 257))
+        # the round's own factor: reweighted normalizes w as here
+        X = _inverse_cholesky(_gram(core.Q, w / w.sum()))
         d = X @ (core.Q.conj().T @ (w / w.sum() * tgt))
         sups = np.abs(tgt[:, None] - core.Q @ np.cumsum(X.conj().T * d, axis=1)).max(axis=0)
         sums = np.concatenate([np.sum(np.abs(
@@ -649,17 +603,23 @@ def test_fit_until_reciprocal_plateau():
     assert abs(plateau - 2.0) < 1e-6
 
 
+def _wide_arc_jump_compactum():
+    disc = sample_disc_constraint(0.5, 512)
+    arc = sample_dilated_arc(UnitCircleArc(0.0, math.pi / 2), 0.9, 512)
+    return union(disc, arc.with_target(np.full(512, 5.0 + 0j)))
+
+
 def test_fit_until_wide_arc_jump_unreachable():
     # 0 on C(0,0.5), constant 5 on a quarter arc at 0.9: the compound target
     # needs resolution this grid/degree budget cannot deliver; the honest
-    # outcome is a recorded plateau, not success
-    disc = sample_disc_constraint(0.5, 512)
-    arc = sample_dilated_arc(UnitCircleArc(0.0, math.pi / 2), 0.9, 512)
-    cc = union(disc, arc.with_target(np.full(512, 5.0 + 0j)))
+    # outcome is a recorded plateau, not success, bracketed from below by
+    # the base pass's weighted residual at the cap
     with pytest.raises(ToleranceUnreachable) as err:
-        fit_until(cc, 0.05, 512)
+        fit_until(_wide_arc_jump_compactum(), 0.05, 512)
     hist = dict(err.value.history)
     assert min(hist.values()) > 0.05
+    assert err.value.bound_degree == 512
+    assert err.value.lower_bound <= min(hist.values())
 
 
 def test_fit_until_history_rungs():
@@ -694,6 +654,34 @@ def count_passes(monkeypatch):
     monkeypatch.setattr(polyfit._Pass, "fit", counted)
     monkeypatch.setattr(polyfit._Pass, "reweighted", counted_round)
     return targets, columns, rounds
+
+
+def test_fit_until_runs_no_round_where_the_weighted_residual_rules_tol_out(monkeypatch):
+    # on the wide-arc compactum ||r_m||_w falls from 1.47 at rung 8 to 0.142
+    # at rung 512, above tol 0.05 at every rung: no polynomial of the rung's
+    # degree meets tol, so no rung runs a reweighting round, the ladder
+    # climbs the same rungs, and each fit is round 1's, the bits of a fresh
+    # base-weight pass
+    cc = _wide_arc_jump_compactum()
+    pts = np.concatenate([c.points for c in cc.components])
+    tgt = np.concatenate([c.target for c in cc.components])
+    base = grid_weights(cc)
+    rungs = [8, 16, 32, 64, 128, 256, 512]
+    core = _Pass(pts, tgt, base / base.sum())
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        core.fit(512)
+    assert all(core.lows[d] > 0.05 ** 2 for d in rungs)
+    _, _, rounds = count_passes(monkeypatch)
+    with pytest.raises(ToleranceUnreachable) as err:
+        fit_until(cc, 0.05, 512)
+    assert rounds == []
+    assert [d for d, _ in err.value.history] == rungs
+    for d in (8, 64, 512):
+        poly, _ = fit_polynomial(cc, d, tol=0.05)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            want = _Pass(pts, tgt, base / base.sum()).fit(d, 0.05)
+        assert poly.coeffs == ComplexPolynomial(want[0]).coeffs, d
+    assert rounds == []
 
 
 @pytest.fixture(scope="module")
@@ -743,7 +731,7 @@ def test_fit_until_returns_the_refit_at_the_smallest_passing_degree(
     # the descent from 256 takes few targets. Only round 1 of each ladder
     # target grows the one base-weight pass: 6 passes, where building a
     # pass per reweighting round took 49 at 2 BLAS threads and 50 at 1.
-    # The 49 reweighting rounds at 2 threads (48 at 1) reach 6 targets
+    # The 30 reweighting rounds at 2 threads (26 at 1) reach 6 targets
     # below 256 (5 at 1); a descent of one degree per target would take
     # hundreds
     assert targets == [8, 16, 32, 64, 128, 256]
@@ -760,22 +748,23 @@ def test_fit_until_noisy_targets_cost_no_extra_passes(log2_stage2_compactum, mon
     # at tol 0.01 only the synthesis-free residual of target 512 meets tol;
     # no returned polynomial does, so the search must not step down below
     # any target: one pass per target, and at most 7 reweighting rounds at
-    # each (37 in all at 2 BLAS threads, 36 at 1). The second round at 512
-    # spreads its weights 1e8 from the base pass's, past what a round
+    # each. Targets 8-64, whose weighted residual exceeds tol, run none
+    # (10 rounds in all at 2 BLAS threads, 12 at 1). The second round at
+    # 512 spreads its weights 1e8 from the base pass's, past what a round
     # factors, and runs a fresh pass
     targets, _, rounds = count_passes(monkeypatch)
     with pytest.raises(ToleranceUnreachable):
         fit_until(log2_stage2_compactum, 0.01, 512)
     assert targets == [8, 16, 32, 64, 128, 256, 512, 512]
-    assert len(rounds) <= 49
-    assert set(rounds) <= {8, 16, 32, 64, 128, 256, 512}
+    assert len(rounds) <= 21
+    assert set(rounds) <= {128, 256, 512}
 
 
 def test_probe_scan_setup_build_pass_count(tmp_path, monkeypatch):
     # the series the probe-scan benchmark builds: only round 1 of a ladder
     # target grows a base-weight pass, 10 passes and 240 columns at 1 and 2
     # BLAS threads, where building a pass per reweighting round took 129
-    # passes and 11,442 columns; the 120 reweighting rounds build none
+    # passes and 11,442 columns; the 121 reweighting rounds build none
     targets, columns, _ = count_passes(monkeypatch)
     out = str(tmp_path / "series")
     assert cli_main(["build", "membership", "--targets", "[[[0.2,0]]]",

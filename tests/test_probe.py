@@ -166,7 +166,7 @@ def test_dilate_distance_callable_target():
 def test_scan_bounded_function_misses_distant_target():
     rep = universality_scan(IDENT, [5.0], [UnitCircleArc(0.2, 0.7)],
                             RadiiSchedule.default(5), 4)
-    assert all(e >= 4.0 for e in rep.errors_for(0, 0))
+    assert all(row["sup_error"] >= 4.0 for row in rep.rows)
     assert rep.best_for(0, 0)["best_error"] >= 4.0
     with pytest.raises(ConfigError):
         rep.best_for(1, 0)
@@ -178,7 +178,7 @@ def test_scan_report_best_is_min():
     rep = DilateReport.from_rows(rows)
     b = rep.best_for(0, 0)
     assert b["best_n"] == 2 and b["best_error"] == 0.2
-    assert b["best_error"] == min(rep.errors_for(0, 0))
+    assert b["best_error"] == min(row["sup_error"] for row in rep.rows)
 
 
 def test_scan_validation():
