@@ -176,7 +176,8 @@ def _gram(Q: np.ndarray, w: np.ndarray) -> np.ndarray:
     _BLOCK, so that temporaries stay n x _BLOCK."""
     X = np.zeros((Q.shape[1], Q.shape[1]), dtype=complex)
     for i0 in range(0, len(X), _BLOCK):
-        B = Q[:, i0:i0 + _BLOCK].conj() * w[:, None]
+        B = Q[:, i0:i0 + _BLOCK].conj()
+        B *= w[:, None]
         X[i0:i0 + _BLOCK, :i0 + _BLOCK] = np.tril(B.T @ Q[:, :i0 + _BLOCK], i0)
     return X
 
