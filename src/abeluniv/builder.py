@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -738,13 +738,7 @@ def shifted_stage_chain(poly: ComplexPolynomial, w_center: complex, tau: complex
 # serialization
 
 def witness_to_dict(w: CounterexampleWitness) -> dict:
-    return {"zeta1": [w.zeta1.real, w.zeta1.imag],
-            "zeta2": [w.zeta2.real, w.zeta2.imag],
-            "r_minus1": w.r_minus1, "first_stage": w.first_stage,
-            "last_stage": w.last_stage, "R1": list(w.R1), "R2": list(w.R2),
-            "s1": list(w.s1), "s2": list(w.s2),
-            "s1_fallback": w.s1_fallback, "s2_fallback": w.s2_fallback,
-            "eta": {str(k): v for k, v in sorted(w.eta.items())}}
+    return _json_safe(asdict(w))
 
 
 def witness_from_dict(d: dict) -> CounterexampleWitness:

@@ -68,8 +68,9 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _poly_list(spec, default):
-    """Targets as coeff-pair lists, either inline JSON or a file path."""
+def _json_spec(spec, default, what, shape, read):
+    """read(data) of a --targets or --arcs spec, a file path, inline JSON or (None)
+    default; data that read rejects is a ConfigError naming the shape it must have."""
     if spec is None:
         data = default
     elif os.path.exists(spec):
@@ -78,27 +79,11 @@ def _poly_list(spec, default):
         try:
             data = json.loads(spec)
         except json.JSONDecodeError:
-            raise ConfigError(f"targets spec {spec!r} is neither a file nor JSON")
+            raise ConfigError(f"{what} spec {spec!r} is neither a file nor JSON")
     try:
-        return [polyfit.poly_from_pairs(p) for p in data]
-    except (TypeError, ValueError, ConfigError):
-        raise ConfigError("targets must be a list of [re,im] coefficient lists")
-
-
-def _arc_list(spec, default):
-    if spec is None:
-        data = default
-    elif os.path.exists(spec):
-        data = _load_json(spec)
-    else:
-        try:
-            data = json.loads(spec)
-        except json.JSONDecodeError:
-            raise ConfigError(f"arcs spec {spec!r} is neither a file nor JSON")
-    try:
-        return [geometry.UnitCircleArc(float(a), float(b)) for a, b in data]
-    except (TypeError, ValueError):
-        raise ConfigError("arcs must be a list of [alpha, beta] pairs")
+        return read(data)
+    except (TypeError, ValueError):   # ConfigError is a ValueError
+        raise ConfigError(f"{what} must be {shape}")
 
 
 def _dump_json(payload: dict) -> str:
@@ -212,11 +197,13 @@ def cmd_build(args) -> int:
         raise ConfigError("stage count must be >= 0")
     kind = args.kind
     if kind == "membership":
-        targets = _poly_list(args.targets, [[[2.0, 0.0]], [[0.0, -3.0]]])
-        arcs = _arc_list(args.arcs, [[0.30, 0.32], [3.60, 3.62]])
+        targets, arcs = [[[2.0, 0.0]], [[0.0, -3.0]]], [[0.30, 0.32], [3.60, 3.62]]
     else:
-        targets = _poly_list(args.targets, [[[10.0, 0.0]]])
-        arcs = _arc_list(args.arcs, [[0.2, 1.2]])
+        targets, arcs = [[[10.0, 0.0]]], [[0.2, 1.2]]
+    targets = _json_spec(args.targets, targets, "targets", "a list of [re,im] coefficient lists",
+                         lambda data: [polyfit.poly_from_pairs(p) for p in data])
+    arcs = _json_spec(args.arcs, arcs, "arcs", "a list of [alpha, beta] pairs",
+                      lambda data: [geometry.UnitCircleArc(float(a), float(b)) for a, b in data])
     rho, eps = _resolve_schedules(args, N)
     if N == 0:
         enum = builder.TargetEnumeration(targets, arcs, [], [])

@@ -122,14 +122,7 @@ def sample_radial_curve(phi: DiscAutomorphism, zeta: complex, r_from: float,
 
 
 def sup_distance(component: SampledComponent, f) -> float:
-    """max over the grid of |f(point) - target|. f may be vectorized or scalar."""
+    """max over the grid of |f(point) - target|, f taking the array of points."""
     if component.target is None:
         raise ConfigError("component has no target")
-    pts = component.points
-    try:
-        vals = np.asarray(f(pts), dtype=complex)
-        if vals.shape != pts.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([f(p) for p in pts], dtype=complex)
-    return float(np.max(np.abs(vals - component.target)))
+    return float(np.max(np.abs(f(component.points) - component.target)))

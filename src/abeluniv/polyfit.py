@@ -14,13 +14,13 @@ failure mode shows up honestly as a plateau instead of a fake success.
 The Arnoldi columns are nested in degree, so one pass up to a target
 degree holds the fit at every lower degree; they are built in blocks of 8
 by block Gram-Schmidt (see _Pass). fit_until doubles the target until a
-fit meets the tolerance, then steps it down (see fit_until).
-Round 1 of every fit in that search goes through one base-weight pass
-(_Pass): each higher target grows its columns, each lower target and the
-final refit read them. Rounds 2-8 reweight its columns by one Cholesky
-factorization of their weighted Gram matrix, and run only where the pass's
-weighted-L2 residual, a lower bound on every sup at that degree, lets tol
-be met.
+fit meets the tolerance, then steps it down (see fit_until), and every
+fit of that search starts on one base-weight pass: each higher target
+grows its columns, each lower target and the final refit read them.
+Rounds 2-8 of a fit reweight those columns by one LAPACK Cholesky
+factorization of their weighted Gram matrix, and run only where the
+pass's weighted-L2 residual, a lower bound on every sup at that degree,
+lets tol be met.
 """
 
 from __future__ import annotations
@@ -126,20 +126,14 @@ def grid_weights(cc: CompoundCompactum) -> np.ndarray:
 
 
 def _conj_matvec(Q: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
-    """Q[:, :m].conj().T @ x, bit for bit, without a conjugated copy of the
-    prefix.
-
+    """Q[:, :m].conj().T @ x without a conjugated copy of the prefix:
     conj(Q^T conj(x)) is the same sum of the same products, and numpy hands
     the strided transpose to the kernel that read the copy, so the bits
-    agree for every m >= 2. A single column goes down numpy's strided
-    vector path instead, whose last bits differ, so m = 1 takes the dot
-    product of the conjugated column. tests/test_polyfit.py guards both."""
-    if m == 1:
-        return np.array([np.dot(Q[:, 0].conj(), x)])
+    agree on every prefix the fit core passes (tests/test_polyfit.py)."""
     return (Q[:, :m].T @ x.conj()).conj()
 
 
-_BLOCK = 128   # block width of a reweighting round's factorization and products
+_BLOCK = 128   # block width of a reweighting round's Gram tiles and residual products
 _WIDTH = 8     # columns per block of an Arnoldi pass, 1-8, 9-16, ... (see _Pass)
 _SPREAD = 1e5  # widest spread of w / w0 a reweighting round factors (see reweighted)
 
@@ -155,20 +149,12 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
     return X
 
 
-def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
-    """Overwrite X, G = L L^H in its lower triangle and 0 above, with L^{-1}, left-looking
-    by block columns, LAPACK on the diagonal blocks only; L overwrites G, L^{-1} L, once read."""
-    for k0 in range(0, len(X), _BLOCK):
-        K = slice(k0, k0 + _BLOCK)
-        A = X[k0:, K] - X[k0:, :k0] @ X[K, :k0].conj().T
-        try:
-            Xkk = _tril_inverse(np.linalg.cholesky(A[:_BLOCK]))
-        except np.linalg.LinAlgError:
-            raise BasisBreakdown(f"Gram matrix not positive definite from column {k0}") from None
-        X[k0 + _BLOCK:, K] = A[_BLOCK:] @ Xkk.conj().T
-        X[K, :k0] = -Xkk @ (X[K, :k0] @ X[:k0, :k0])
-        X[K, K] = Xkk
-    return X
+def _inverse_cholesky(G: np.ndarray) -> np.ndarray:
+    """L^{-1} of G = L L^H, read from G's lower triangle (LAPACK potrf)."""
+    try:
+        return _tril_inverse(np.linalg.cholesky(G))
+    except np.linalg.LinAlgError:
+        raise BasisBreakdown("Gram matrix not positive definite") from None
 
 
 def _gram(Q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -312,12 +298,12 @@ class _Pass:
         from columns 0..degree in hand (CholeskyQR, Yamamoto et al., ETNA 2015): with
         Q those columns and Q^H diag(w) Q = L L^H (_gram), every prefix of Q L^{-H} is
         w-orthonormal, and d = L^{-1} Q^H w y. That costs about spread^1.5 * eps of
-        max|y|, spread that of a (1e-10 at 1e4), so past _SPREAD it runs a fresh pass.
+        max|y|, spread that of a (1e-10 at 1e4), so past _SPREAD it raises BasisBreakdown.
         max|r_m| is computed at every m, by blocks of _BLOCK rows and columns."""
-        w = self.w * np.repeat(a, [sl.stop - sl.start for sl in self.slices])
-        a, w = a / w.sum(), w / w.sum()
         if not a.max() <= _SPREAD * a.min():
-            return _Pass(self.z, self.y, w).fit(degree, tol)
+            raise BasisBreakdown(f"reweighting weights spread past {_SPREAD:.0e}")
+        w = self.w * np.repeat(a, [sl.stop - sl.start for sl in self.slices])
+        w = w / w.sum()
         n1, y, Q, C = degree + 1, self.y, self.Q[:, :degree + 1], self.C[:degree + 1, :degree + 1]
         X = _inverse_cholesky(_gram(Q, w))
         d = X @ _conj_matvec(Q, n1, w * y)
@@ -328,69 +314,59 @@ class _Pass:
             K = np.cumsum(X[J, top].T.conj() * d[J], axis=1)
             K[:j0] += _conj_matvec(X[:j0], j0, d[:j0])[:, None]
             sups[J] = np.max([np.abs(yi - Qi[:, top] @ K).max(axis=0) for yi, Qi in rows], 0)
-        sups[degree] = np.abs(y - Q @ _conj_matvec(X, n1, d)).max()
         for m in range(n1):
             if m == degree or (tol is not None and sups[m] <= tol):
                 coeffs = C[:m + 1, :m + 1] @ _conj_matvec(X[:m + 1], m + 1, d[:m + 1])
                 res = self._residual(coeffs)
                 if m == degree or (res is not None and float(res.max()) <= tol):
                     break
-        # column sums of the synthesis C L^{-H}, whose first m + 1 are C_m L_m^{-H}'s
-        sums = [np.sum(np.abs(C[:j, :j] @ X[j - _BLOCK:j, :j].T.conj()), axis=0)
-                for j in range(_BLOCK, m + 1 + _BLOCK, _BLOCK)]
-        return coeffs, float(np.max(np.concatenate(sums)[:m + 1])), float(sups[m]), res
+        # the synthesis C_m L_m^{-H}'s largest column sum
+        growth = np.abs(C[:m + 1, :m + 1] @ X[:m + 1, :m + 1].T.conj()).sum(0).max()
+        return coeffs, float(growth), float(sups[m]), res
 
 
-@dataclass
-class _Search:
-    """What the fits of one fit_until search (one tol) share: base, the
-    base-weight pass of round 1 of every fit in the search. Ladder targets
-    grow it, step-down targets and the final refit read it."""
+def _base_pass(cc: CompoundCompactum) -> _Pass:
+    """The pass at cc's grid weights over its targets, stacked component by component."""
+    for c in cc.components:
+        if c.target is None:
+            raise ConfigError(f"component {c.kind} has no target")
+    sizes = [len(c.points) for c in cc.components]
+    slices = [slice(end - n, end) for end, n in zip(np.cumsum(sizes), sizes)]
+    base = grid_weights(cc)
+    return _Pass(np.concatenate([c.points for c in cc.components]),
+                 np.concatenate([c.target for c in cc.components]), base / base.sum(), slices)
 
-    base: Optional[_Pass] = None
 
-
-def fit_polynomial(cc: CompoundCompactum, degree: int, *,
-                   tol: Optional[float] = None, search: Optional[_Search] = None
-                   ) -> Tuple[ComplexPolynomial, FitReport]:
+def fit_polynomial(cc: CompoundCompactum, degree: int, *, tol: Optional[float] = None,
+                   base: Optional[_Pass] = None) -> Tuple[ComplexPolynomial, FitReport]:
     """Weighted least-squares fit of all component targets at the given degree.
 
     Up to 8 rounds multiply each component's weight by its share of the sup
     residual (floored at 1e-4) to push the l2 fit toward the sup-norm
     target; the round with the smallest measured sup residual wins, and the
-    loop stops as soon as a round fails to improve. The report's basis_sup
-    is the lowest synthesis-free residual over the rounds run; it does not
-    steer the reweighting. Round 1 runs an Arnoldi pass at the base weights,
-    search.base, and later rounds reweight its columns. With tol given, a
-    round may stop below degree, and the first round whose fit meets tol
-    wins; where round 1 misses tol and the pass's ||r_degree||_w exceeds it,
-    no polynomial of that degree can meet tol, and no further round runs.
-    search, which fit_until's fits share, does not change the result."""
+    loop stops as soon as a round fails to improve or breaks down. The
+    report's basis_sup is the lowest synthesis-free residual over the rounds
+    run; it does not steer the reweighting. Round 1 fits on the base-weight
+    pass base, _base_pass(cc) unless given (fit_until's fits share one, and
+    sharing changes no result), and later rounds reweight its columns. With
+    tol given, a round may stop below degree, and the first round whose fit
+    meets tol wins; where round 1 misses tol and the pass's ||r_degree||_w
+    exceeds it, no polynomial of that degree can meet tol, and no further
+    round runs."""
     if degree < 0:
         raise ConfigError("degree must be >= 0")
-    for c in cc.components:
-        if c.target is None:
-            raise ConfigError(f"component {c.kind} has no target")
-    pts = np.concatenate([c.points for c in cc.components])
-    tgt = np.concatenate([c.target for c in cc.components])
-    if len(pts) < degree + 1:
-        raise UnderdeterminedFit(f"{len(pts)} samples cannot determine degree {degree}")
-
-    sizes = [len(c.points) for c in cc.components]
-    slices = [slice(end - n, end) for end, n in zip(np.cumsum(sizes), sizes)]
-    base = grid_weights(cc)
+    base = base or _base_pass(cc)
+    if len(base.z) < degree + 1:
+        raise UnderdeterminedFit(f"{len(base.z)} samples cannot determine degree {degree}")
 
     best, basis_sup, scale = None, math.inf, np.ones(len(cc.components))
-    search = search or _Search()
     for k in range(8):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             if k == 0:
-                search.base = search.base or _Pass(pts, tgt, base / base.sum(), slices)
-                coeffs, growth, round_basis_sup, res = search.base.fit(degree, tol)
+                coeffs, growth, round_basis_sup, res = base.fit(degree, tol)
             else:   # round 1 ran the base pass to degree, or met tol and ended the loop
                 try:
-                    coeffs, growth, round_basis_sup, res = search.base.reweighted(
-                        scale, degree, tol)
+                    coeffs, growth, round_basis_sup, res = base.reweighted(scale, degree, tol)
                 except BasisBreakdown:   # keep the best round, as after an overflow
                     break
         basis_sup = min(basis_sup, round_basis_sup)
@@ -402,7 +378,7 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
                     f"monomial synthesis overflow at degree {degree}")
             break
         poly = ComplexPolynomial(coeffs)
-        comp_sup = np.array([float(res[sl].max()) for sl in slices])
+        comp_sup = np.array([float(res[sl].max()) for sl in base.slices])
         sup = float(comp_sup.max())
         if best is None or sup < best[0]:
             with np.errstate(over="ignore"):
@@ -413,7 +389,7 @@ def fit_polynomial(cc: CompoundCompactum, degree: int, *,
         else:
             break
         if sup == 0.0 or tol is not None and (
-                sup <= tol or k == 0 and search.base.lows[degree] > tol * tol):
+                sup <= tol or k == 0 and base.lows[degree] > tol * tol):
             break
         scale = scale * np.maximum(comp_sup / sup, 1e-4)
 
@@ -439,15 +415,13 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
     top = min(max_degree, sum(len(c.points) for c in cc.components) - 1)
     ladder = [8 << k for k in range(64) if 8 << k < top] + [top]
 
-    history = []
-    best = None
-    search = _Search()
+    history, best, base = [], None, _base_pass(cc)
     # (degree, basis_sup) of the best target whose orthogonal-basis fit met
     # tol while its returned polynomial did not
     noisy = None
     for i, deg in enumerate(ladder):
         try:
-            poly, rep = fit_polynomial(cc, deg, tol=tol, search=search)
+            poly, rep = fit_polynomial(cc, deg, tol=tol, base=base)
         except BasisBreakdown:
             history.append((deg, math.inf))
             continue
@@ -458,11 +432,11 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
             # refit plainly at the last passing degree
             try:
                 while rep.degree > 0:
-                    lower = fit_polynomial(cc, rep.degree - 1, tol=tol, search=search)
+                    lower = fit_polynomial(cc, rep.degree - 1, tol=tol, base=base)
                     if lower[1].sup_error > tol:
                         break
                     poly, rep = lower
-                final = fit_polynomial(cc, rep.degree, search=search)
+                final = fit_polynomial(cc, rep.degree, base=base)
                 if final[1].sup_error <= tol:
                     poly, rep = final
             except BasisBreakdown:
@@ -473,7 +447,7 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
         if rep.basis_sup <= tol and (noisy is None or rep.basis_sup < noisy[1]):
             noisy = (rep.degree, rep.basis_sup)
     plateau = ", ".join(f"{d}:{s:.3e}" for d, s in history)
-    m = search.base.top   # the highest degree the base pass reached, -1 if none
+    m = base.top   # the highest degree the base pass reached, -1 if none
     if noisy is None:
         why = f"tolerance {tol:.3e} unreachable within degree {max_degree}"
     else:
@@ -485,4 +459,4 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
         f"{why}; residual plateau [{plateau}]",
         polynomial=best[0] if best else None,
         report=best[1] if best else None, history=history, bound_degree=m if m >= 0 else None,
-        lower_bound=math.sqrt(search.base.lows[m]) if m >= 0 else None)
+        lower_bound=math.sqrt(base.lows[m]) if m >= 0 else None)

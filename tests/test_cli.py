@@ -195,9 +195,16 @@ def test_build_counterexample_reports_budget(artifacts, capsys):
     assert sweep["value"] == pytest.approx(0.005125039269825825, rel=1e-6)
 
 
-def test_build_rejects_bad_targets_json():
-    assert main(["build", "membership", "--targets", "[[bogus",
-                 "--arcs", "[[0.3,0.32]]", "--stages", "1"]) == 1
+@pytest.mark.parametrize("targets,arcs,message", [
+    ("[[bogus", "[[0.3,0.32]]", "targets spec '[[bogus' is neither a file nor JSON"),
+    ("[[[1,0]]]", "[[0.3,", "arcs spec '[[0.3,' is neither a file nor JSON"),
+    ("[[[1,0]]]", "[[0.3]]", "arcs must be a list of [alpha, beta] pairs"),
+    ("[[1,0]]", "[[0.3,0.32]]", "targets must be a list of [re,im] coefficient lists"),
+], ids=["targets-json", "arcs-json", "arc-shape", "target-shape"])
+def test_build_rejects_bad_targets_json(targets, arcs, message, capsys):
+    assert main(["build", "membership", "--targets", targets,
+                 "--arcs", arcs, "--stages", "1"]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 # probe

@@ -232,15 +232,20 @@ def test_least_squares_optimality_under_perturbation():
 def test_conj_matvec_matches_the_conjugated_copy_bitwise():
     # the fit core reads the basis in place; its bits must stay those of the
     # conjugated prefix copy at every width, or payloads drift silently
-    # (row-major, and column-major as the Arnoldi pass stores it)
+    # (row-major, and column-major as the Arnoldi pass stores it). A tall
+    # row-major single column rounds differently and the core passes none:
+    # a round's row-major L^{-1} reaches it at degree 0 as a 1 x 1 prefix
     n, width = 1024, 80
     for order in "CF":
         Q = np.asarray(RNG.normal(size=(n, width)) + 1j * RNG.normal(size=(n, width)),
                        order=order)
         x = RNG.normal(size=n) + 1j * RNG.normal(size=n)
         for m in range(65):
-            got = _conj_matvec(Q, m, x)
-            want = Q[:, :m].conj().T @ x
+            if order == "C" and m == 1:
+                Q1, x1 = Q[:1], x[:1]
+                got, want = _conj_matvec(Q1, 1, x1), Q1[:, :1].conj().T @ x1
+            else:
+                got, want = _conj_matvec(Q, m, x), Q[:, :m].conj().T @ x
             assert got.shape == want.shape == (m,)
             assert np.array_equal(got.view(float), want.view(float)), (order, m)
 
@@ -414,26 +419,38 @@ def test_reweighted_round_matches_a_fresh_pass(tol, spread, sup_rtol, passing):
 
 
 @pytest.mark.parametrize("spread", [1e6, 1e8, 1e16])
-def test_reweighted_round_past_the_spread_limit_is_a_fresh_pass(spread):
+def test_reweighted_round_past_the_spread_limit_breaks_down(monkeypatch, spread):
     # factored, weights that spread this far would cost max|r| digits:
     # 3.7e-5 where a fresh pass reaches 3.7e-8 at degree 32 and spread
-    # 1e8. So the round runs a fresh pass, bit for bit, and the base pass
-    # keeps its columns
+    # 1e8. So the round raises BasisBreakdown and leaves the pass as it
+    # was, and the fit keeps the best round before it
     pts, tgt, base = _disc_and_arc_fit_data()
-    w = base.copy()
-    w[512:] *= spread
-    w /= w.sum()
     core = _Pass(pts, tgt, base, DISC_AND_ARC)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         core.fit(128)
-        Q = core.Q.copy()
+        Q, C, sups = core.Q.copy(), core.C.copy(), core.sups.copy()
         for d in (16, 32, 64, 128):
             for tol in (None, 1e-6):
-                got = core.reweighted(np.array([1.0, spread]), d, tol)
-                want = _Pass(pts, tgt, w).fit(d, tol)
-                assert np.array_equal(got[0].view(float), want[0].view(float)), (d, tol)
-                assert got[1:3] == want[1:3], (d, tol)
-    assert np.array_equal(core.Q, Q)
+                with pytest.raises(BasisBreakdown, match=r"spread past 1e\+05"):
+                    core.reweighted(np.array([1.0, spread]), d, tol)
+    assert np.array_equal(core.Q, Q) and np.array_equal(core.C, C)
+    assert np.array_equal(core.sups, sups)
+    # a second round spread this far from the first: the fit is round 1's
+    cc = _disc_and_arc_compactum()
+    first, _ = fit_polynomial(cc, 32)
+    reweighted, rounds = polyfit._Pass.reweighted, []
+
+    def spread_out(self, a, degree, tol=None):
+        rounds.append(degree)
+        return reweighted(self, np.array([1.0, spread]), degree, tol)
+
+    monkeypatch.setattr(polyfit._Pass, "reweighted", spread_out)
+    poly, rep = fit_polynomial(cc, 32)
+    assert rounds == [32]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = _Pass(pts, tgt, base / base.sum()).fit(32)
+    assert poly.coeffs == ComplexPolynomial(want[0]).coeffs != first.coeffs
+    assert rep.sup_error == float(want[3].max()) > 0
 
 
 def test_weighted_residual_bounds_every_sup_from_below():
@@ -471,23 +488,24 @@ def test_gram_tiles_give_the_lower_triangle_of_the_direct_product():
 
 @pytest.mark.parametrize("width", [1, 127, 128, 129, 513])
 def test_blocked_inverse_cholesky_matches_lapack(width):
-    # factor and inverse go by blocks of 128 columns: one block, one short
-    # of a block, exactly one, one past, and the widest a fit reaches
+    # the factor is read from the lower triangle alone, as _gram fills it,
+    # and inverted by halves: at one column, across the Gram tiles of 128
+    # (one short, exactly one, one past), and the widest a fit reaches
     n = 2 * width + 8
     Q = RNG.normal(size=(n, width)) + 1j * RNG.normal(size=(n, width))
     w = RNG.uniform(0.5, 2.0, size=n)
     G = Q.conj().T @ (w[:, None] * Q)
-    X = np.tril(G)
-    assert _inverse_cholesky(X) is X   # factored in place
+    X = _inverse_cholesky(np.tril(G))
     want = np.linalg.inv(np.linalg.cholesky(G))
     assert np.array_equal(X, np.tril(X))
     assert np.max(np.abs(X - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 128])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 128, 129, 513])
 def test_triangular_inverse_matches_lapack(n):
-    # a diagonal block's inverse goes by halves down to LU inverses of at
-    # most 32 columns: a leaf, the widest leaf, one split, and a block
+    # a round inverts its whole factor by halves down to LU inverses of at
+    # most 32 columns: a leaf, the widest leaf, one split, and factors up
+    # to the widest a fit reaches
     A = RNG.normal(size=(2 * n, n)) + 1j * RNG.normal(size=(2 * n, n))
     L = np.linalg.cholesky(A.conj().T @ A)
     X = polyfit._tril_inverse(L)
@@ -498,10 +516,9 @@ def test_triangular_inverse_matches_lapack(n):
 
 @pytest.mark.parametrize("a", [[1.0, 1.0], [1.0, 40.0], [300.0, 1.0]])
 def test_growth_sums_only_the_blocks_up_to_the_chosen_degree(log2_stage2_compactum, a):
-    # a round sums the columns of the synthesis C L^{-H} only in the blocks
-    # of 128 up to the degree it returns; the growth must be the bits of
-    # sums over every block, for rounds that stop in the first, the middle
-    # and the last block
+    # a round's growth is the largest column sum of the synthesis
+    # C_m L_m^{-H} at the degree m it returns, for rounds that stop in the
+    # first, the middle and the last block of 128 columns
     cc = log2_stage2_compactum
     pts = np.concatenate([c.points for c in cc.components])
     tgt = np.concatenate([c.target for c in cc.components])
@@ -517,21 +534,22 @@ def test_growth_sums_only_the_blocks_up_to_the_chosen_degree(log2_stage2_compact
         X = _inverse_cholesky(_gram(core.Q, w / w.sum()))
         d = X @ (core.Q.conj().T @ (w / w.sum() * tgt))
         sups = np.abs(tgt[:, None] - core.Q @ np.cumsum(X.conj().T * d, axis=1)).max(axis=0)
-        sums = np.concatenate([np.sum(np.abs(
-            core.C[:j + 128, :j + 128] @ X[j:j + 128, :j + 128].T.conj()), axis=0)
-            for j in (0, 128, 256)])
+        full = np.abs(core.C @ X.conj().T).sum(0)
         for tol, block in ((sups[60], 0), (sups[200], 1), (None, 2)):
             got = core.reweighted(a, 256, tol)
             m = len(got[0]) - 1
             assert m // 128 == block, tol
-            assert got[1] == float(np.max(sums[:m + 1])), tol
+            want = np.abs(core.C[:m + 1, :m + 1] @ X[:m + 1, :m + 1].T.conj()).sum(0)
+            assert got[1] == float(want.max()), tol
+            # columns 0..m of the whole C L^{-H} are C_m L_m^{-H} and zeros
+            assert got[1] == pytest.approx(full[:m + 1].max(), rel=1e-13), tol
 
 
 def test_rank_deficient_gram_raises_and_leaves_the_pass_as_it_was():
     # 31 columns weighted on 10 of the 40 points hold rank 10 at most: the
-    # blocked factorization meets a pivot that is not positive, and a round
-    # weighting one of four 10-point components (an unbounded spread, so a
-    # fresh pass) breaks down
+    # factorization meets a pivot that is not positive, and a round
+    # weighting one of four 10-point components (an unbounded spread) breaks
+    # down
     pts = circle_grid(0.5, 40)
     core = _Pass(pts, np.exp(pts), np.full(40, 1 / 40),
                  [slice(i, i + 10) for i in range(0, 40, 10)])
@@ -747,15 +765,15 @@ def test_fit_until_returns_the_refit_at_the_smallest_passing_degree(
 def test_fit_until_noisy_targets_cost_no_extra_passes(log2_stage2_compactum, monkeypatch):
     # at tol 0.01 only the synthesis-free residual of target 512 meets tol;
     # no returned polynomial does, so the search must not step down below
-    # any target: one pass per target, and at most 7 reweighting rounds at
-    # each. Targets 8-64, whose weighted residual exceeds tol, run none
-    # (10 rounds in all at 2 BLAS threads, 12 at 1). The second round at
-    # 512 spreads its weights 1e8 from the base pass's, past what a round
-    # factors, and runs a fresh pass
+    # any target: one pass per rung, grown by each, and at most 7
+    # reweighting rounds at each. Targets 8-64, whose weighted residual
+    # exceeds tol, run none. The second round at 512 would spread its
+    # weights 1e8 from the base pass's, past what a round factors, so it
+    # breaks down and the fit keeps round 1
     targets, _, rounds = count_passes(monkeypatch)
     with pytest.raises(ToleranceUnreachable):
         fit_until(log2_stage2_compactum, 0.01, 512)
-    assert targets == [8, 16, 32, 64, 128, 256, 512, 512]
+    assert targets == [8, 16, 32, 64, 128, 256, 512]
     assert len(rounds) <= 21
     assert set(rounds) <= {128, 256, 512}
 
