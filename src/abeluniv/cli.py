@@ -65,7 +65,10 @@ def _load_json(path: str):
     if not os.path.exists(path):
         raise ConfigError(f"file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError:   # JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigError(f"file {path} does not hold JSON") from None
 
 
 def _json_spec(spec, default, what, shape, read):

@@ -20,7 +20,8 @@ grows its columns, each lower target and the final refit read them.
 Rounds 2-8 of a fit reweight those columns by one LAPACK Cholesky
 factorization of their weighted Gram matrix, and run only where the
 pass's weighted-L2 residual, a lower bound on every sup at that degree,
-lets tol be met.
+lets tol be met. A round's Gram matrix skips its largest component's
+rows, and its sups are bounded on 128 rows before any is measured on all.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _conj_matvec(Q: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
     return (Q[:, :m].T @ x.conj()).conj()
 
 
-_BLOCK = 128   # block width of a reweighting round's Gram tiles and residual products
+_BLOCK = 128   # a reweighting round's Gram tile width, and the rows its sup bounds read
 _WIDTH = 8     # columns per block of an Arnoldi pass, 1-8, 9-16, ... (see _Pass)
 _SPREAD = 1e5  # widest spread of w / w0 a reweighting round factors (see reweighted)
 
@@ -296,33 +297,42 @@ class _Pass:
     def reweighted(self, a: np.ndarray, degree: int, tol: Optional[float] = None):
         """fit's tuple at weights w = self.w times a[c] on component c, summing to 1,
         from columns 0..degree in hand (CholeskyQR, Yamamoto et al., ETNA 2015): with
-        Q those columns and Q^H diag(w) Q = L L^H (_gram), every prefix of Q L^{-H} is
+        Q those columns and Q^H diag(w) Q = L L^H, every prefix of Q L^{-H} is
         w-orthonormal, and d = L^{-1} Q^H w y. That costs about spread^1.5 * eps of
         max|y|, spread that of a (1e-10 at 1e4), so past _SPREAD it raises BasisBreakdown.
-        max|r_m| is computed at every m, by blocks of _BLOCK rows and columns."""
+        As Q is self.w-orthonormal, Q^H diag(w) Q = s_ref I + Q^H diag(w - s_ref self.w) Q,
+        and the rows of the component of scale s_ref drop out: the largest, of least scale
+        among equals, which keeps s_ref times Q's orthogonality error least. Column m of
+        K = cumsum(L^{-H} d) is the fit at degree m in Q's columns; max|r_m| on the _BLOCK
+        rows of largest |r_degree| bounds max|r_m| from below, and only an m where that
+        bound meets tol is measured on every row."""
         if not a.max() <= _SPREAD * a.min():
             raise BasisBreakdown(f"reweighting weights spread past {_SPREAD:.0e}")
-        w = self.w * np.repeat(a, [sl.stop - sl.start for sl in self.slices])
-        w = w / w.sum()
-        n1, y, Q, C = degree + 1, self.y, self.Q[:, :degree + 1], self.C[:degree + 1, :degree + 1]
-        X = _inverse_cholesky(_gram(Q, w))
-        d = X @ _conj_matvec(Q, n1, w * y)
-        rows = [(y[i:i + _BLOCK, None], Q[i:i + _BLOCK]) for i in range(0, len(y), _BLOCK)]
-        sups = np.empty(n1)
-        for j0 in range(0, n1, _BLOCK):
-            J, top = slice(j0, j0 + _BLOCK), slice(0, j0 + _BLOCK)
-            K = np.cumsum(X[J, top].T.conj() * d[J], axis=1)
-            K[:j0] += _conj_matvec(X[:j0], j0, d[:j0])[:, None]
-            sups[J] = np.max([np.abs(yi - Qi[:, top] @ K).max(axis=0) for yi, Qi in rows], 0)
+        s = np.repeat(a, [sl.stop - sl.start for sl in self.slices])
+        s = s / (self.w @ s)
+        ref = max(self.slices, key=lambda sl: (sl.stop - sl.start, -s[sl.start]))
+        v, n1, y, Q = self.w * (s - s[ref.start]), degree + 1, self.y, self.Q[:, :degree + 1]
+        G = _gram(Q[:ref.start], v[:ref.start])   # v is 0 on ref's rows: skip them
+        G += _gram(Q[ref.stop:], v[ref.stop:])
+        G[np.diag_indices(n1)] += s[ref.start]
+        X, C = _inverse_cholesky(G), self.C[:n1, :n1]
+        K = np.conjugate(X.T, out=G)   # in G's array, which the factor no longer reads
+        K *= X @ _conj_matvec(Q, n1, self.w * s * y)
+        np.cumsum(K, axis=1, out=K)
+        r = np.abs(y - Q @ K[:, degree])
+        rows = np.argsort(r)[-_BLOCK:]
+        low = np.abs(y[rows, None] - Q[rows] @ K).max(axis=0) if tol is not None else None
         for m in range(n1):
-            if m == degree or (tol is not None and sups[m] <= tol):
-                coeffs = C[:m + 1, :m + 1] @ _conj_matvec(X[:m + 1], m + 1, d[:m + 1])
-                res = self._residual(coeffs)
-                if m == degree or (res is not None and float(res.max()) <= tol):
-                    break
+            if m == degree or tol is not None and low[m] <= tol:
+                sup = float(r.max() if m == degree else np.abs(y - Q @ K[:, m]).max())
+                if m == degree or sup <= tol:
+                    coeffs = C[:m + 1, :m + 1] @ K[:m + 1, m]
+                    res = self._residual(coeffs)
+                    if m == degree or (res is not None and float(res.max()) <= tol):
+                        break
         # the synthesis C_m L_m^{-H}'s largest column sum
         growth = np.abs(C[:m + 1, :m + 1] @ X[:m + 1, :m + 1].T.conj()).sum(0).max()
-        return coeffs, float(growth), float(sups[m]), res
+        return coeffs, float(growth), sup, res
 
 
 def _base_pass(cc: CompoundCompactum) -> _Pass:

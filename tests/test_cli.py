@@ -207,6 +207,13 @@ def test_build_rejects_bad_targets_json(targets, arcs, message, capsys):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def test_build_rejects_a_targets_file_that_is_not_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[[bogus")
+    assert main(["build", "membership", "--targets", str(bad), "--stages", "1"]) == 1
+    assert capsys.readouterr().err == f"config error: file {bad} does not hold JSON\n"
+
+
 # probe
 
 
@@ -247,6 +254,13 @@ def test_probe_missing_series_file(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["probe", "--series", missing, "--scan"]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_probe_rejects_a_series_file_that_is_not_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[[bogus")
+    assert main(["probe", "--series", str(bad), "--scan"]) == 1
+    assert capsys.readouterr().err == f"config error: file {bad} does not hold JSON\n"
 
 
 def test_probe_requires_an_action(artifacts, capsys):

@@ -16,6 +16,7 @@ from abeluniv import (
     BuildConfig,
     ComplexPolynomial,
     ConfigError,
+    DiscAutomorphism,
     EpsilonSchedule,
     RadiiSchedule,
     TargetEnumeration,
@@ -36,7 +37,7 @@ from abeluniv import (
 )
 from abeluniv import polyfit
 from abeluniv.builder import _membership_stage_compactum
-from abeluniv.compacta import SampledComponent
+from abeluniv.compacta import SampledComponent, sample_radial_curve
 from abeluniv.cli import main as cli_main
 from abeluniv.polyfit import _Pass, _conj_matvec, _gram, _inverse_cholesky, grid_weights
 
@@ -514,31 +515,115 @@ def test_triangular_inverse_matches_lapack(n):
     assert np.max(np.abs(X - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("a", [[1.0, 1.0], [1.0, 40.0], [300.0, 1.0]])
-def test_growth_sums_only_the_blocks_up_to_the_chosen_degree(log2_stage2_compactum, a):
-    # a round's growth is the largest column sum of the synthesis
-    # C_m L_m^{-H} at the degree m it returns, for rounds that stop in the
-    # first, the middle and the last block of 128 columns
-    cc = log2_stage2_compactum
-    pts = np.concatenate([c.points for c in cc.components])
-    tgt = np.concatenate([c.target for c in cc.components])
-    sizes = [len(c.points) for c in cc.components]
-    ends = np.cumsum(sizes)
-    base = grid_weights(cc)
-    core = _Pass(pts, tgt, base / base.sum(), [slice(e - n, e) for e, n in zip(ends, sizes)])
-    a = np.array(a)
-    w = core.w * np.repeat(a, sizes)
+def _round_gram(core, a, degree):
+    """A round's Gram matrix as reweighted forms it: s_ref I plus _gram over the rows
+    before and after the reference component's, weighted self.w * (s - s_ref), the
+    reference being the largest component and, of equal sizes, the one of least scale."""
+    s = np.repeat(a, [sl.stop - sl.start for sl in core.slices])
+    s = s / (core.w @ s)
+    ref = max(core.slices, key=lambda sl: (sl.stop - sl.start, -s[sl.start]))
+    Q, v = core.Q[:, :degree + 1], core.w * (s - s[ref.start])
+    G = _gram(Q[:ref.start], v[:ref.start])
+    G += _gram(Q[ref.stop:], v[ref.stop:])
+    G[np.diag_indices(degree + 1)] += s[ref.start]
+    return G
+
+
+def _counterexample_shaped_components():
+    # the criterion-5 stage-1 compactum's shape: the disc, the dilated arc
+    # and two radial witness curves of 207 and 512 samples
+    phi = DiscAutomorphism(0.5, 0.0)
+    return [sample_disc_constraint(0.5, 512),
+            sample_dilated_arc(UnitCircleArc(3.1316, 3.1516), 0.75, 512),
+            sample_radial_curve(phi, 1, 0.0015, 0.994, 207),
+            sample_radial_curve(phi, 1j, 0.5, 0.999, 512)]
+
+
+@pytest.mark.parametrize("components,a", [
+    (1, [3.0]), (2, [1.0, 40.0]), (2, [300.0, 1.0]), (4, [1.0, 40.0, 3.0, 0.5]),
+    (4, [2.0, 0.5, 30.0, 1.0])], ids=["1", "2-arc-heavy", "2-disc-heavy", "4-a", "4-b"])
+def test_round_gram_without_the_largest_component_matches_the_direct_product(components, a):
+    # the base pass is w0-orthonormal, so Q^H diag(w0 s) Q = s_ref I +
+    # Q^H diag(w0 (s - s_ref)) Q: the largest component's rows drop out of
+    # a round's Gram matrix, which stays the direct _gram(Q, w) to 1e-13,
+    # at every width a fit reaches, on one, two and four components
+    disc = sample_disc_constraint(0.5, 512)
+    comps = {1: [sample_dilated_arc(UnitCircleArc(0.3, 0.32), 0.9, 512)],
+             2: [disc, sample_dilated_arc(UnitCircleArc(0.0, math.pi / 2), 0.9, 512)],
+             4: _counterexample_shaped_components()}[components]
+    cc = union(*(c.with_target(1 / (c.points - 1.5)) for c in comps))
+    core = polyfit._base_pass(cc)
+    top = 256 if components == 1 else 512   # 512 arc points hold columns 0..511 only
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        core.fit(top)
+    s = np.repeat(a, [len(c.points) for c in cc.components])
+    w = core.w * s / (core.w @ s)
+    for degree in (1, 64, 128, top):
+        G = _gram(core.Q[:, :degree + 1], w)
+        got = _round_gram(core, np.array(a), degree)
+        assert np.max(np.abs(got - G)) <= 1e-13 * np.max(np.abs(G)), degree
+
+
+@pytest.mark.parametrize("a", [[1.0, 1.0], [10.0, 1.0]])
+def test_reweighted_round_matches_a_brute_force_reference(a):
+    # the round measures max|r_m| on every row only where its bound on the
+    # 128 rows of largest |r_degree| lets m meet tol. Against the factor of
+    # the direct _gram(Q, w) and max|r_m| on every row at every m it returns
+    # the same degree, with coefficients and sup to 1e-12. A pole near the
+    # disc keeps the disc's residual above the arc's at low m, while the
+    # arc's rows are the worst at degree 256: there the bound admits m that
+    # every row rejects, as the count shows. tol sits 1e-9 above sups[k],
+    # far over the bits the two factors differ in, far under a sup's step
+    disc = sample_disc_constraint(0.5, 512)
+    arc = sample_dilated_arc(UnitCircleArc(0.0, math.pi / 2), 0.9, 512)
+    cc = union(disc.with_target(1 / (disc.points - 0.55)), arc.with_target(1 / (arc.points - 1.5)))
+    core = polyfit._base_pass(cc)
+    a, y = np.array(a), core.y
+    w = core.w * np.repeat(a, 512)
+    w /= w.sum()
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         core.fit(256)
-        # the round's own factor: reweighted normalizes w as here
-        X = _inverse_cholesky(_gram(core.Q, w / w.sum()))
-        d = X @ (core.Q.conj().T @ (w / w.sum() * tgt))
-        sups = np.abs(tgt[:, None] - core.Q @ np.cumsum(X.conj().T * d, axis=1)).max(axis=0)
+        X = _inverse_cholesky(_gram(core.Q, w))
+        K = np.cumsum(X.conj().T * (X @ (core.Q.conj().T @ (w * y))), axis=1)
+        R = np.abs(y[:, None] - core.Q @ K)
+        sups, rejected = R.max(axis=0), 0
+        low = R[np.argsort(R[:, 256])[-128:]].max(axis=0)
+        for tol in (sups[60] * (1 + 1e-9), sups[200] * (1 + 1e-9), None):
+            for m in range(257):
+                if m == 256 or tol is not None and sups[m] <= tol:
+                    coeffs = core.C[:m + 1, :m + 1] @ K[:m + 1, m]
+                    res = core._residual(coeffs)
+                    if m == 256 or (res is not None and res.max() <= tol):
+                        break
+            rejected += tol is not None and int(np.sum((low[:m] <= tol) & (sups[:m] > tol)))
+            got = core.reweighted(a, 256, tol)
+            assert len(got[0]) - 1 == m, tol
+            assert np.max(np.abs(got[0] - coeffs)) <= 1e-12 * np.max(np.abs(coeffs)), tol
+            assert got[2] == pytest.approx(sups[m], rel=1e-12), tol
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("a", [[1.0, 1.0], [1.0, 40.0], [300.0, 1.0]])
+def test_growth_is_the_synthesis_column_sum_at_the_returned_degree(log2_stage2_compactum, a):
+    # a round's growth is the largest column sum of the synthesis
+    # C_m L_m^{-H} at the degree m it returns, for rounds that stop low,
+    # in the middle and at the degree asked
+    cc = log2_stage2_compactum
+    core = polyfit._base_pass(cc)
+    a = np.array(a)
+    s = np.repeat(a, [len(c.points) for c in cc.components])
+    w = core.w * s / (core.w @ s)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        core.fit(256)
+        # the round's own factor, formed as reweighted forms it
+        X = _inverse_cholesky(_round_gram(core, a, 256))
+        d = X @ (core.Q.conj().T @ (w * core.y))
+        sups = np.abs(core.y[:, None] - core.Q @ np.cumsum(X.conj().T * d, axis=1)).max(axis=0)
         full = np.abs(core.C @ X.conj().T).sum(0)
-        for tol, block in ((sups[60], 0), (sups[200], 1), (None, 2)):
+        for tol, lo, hi in ((sups[60], 0, 127), (sups[200], 128, 255), (None, 256, 256)):
             got = core.reweighted(a, 256, tol)
             m = len(got[0]) - 1
-            assert m // 128 == block, tol
+            assert lo <= m <= hi, tol
             want = np.abs(core.C[:m + 1, :m + 1] @ X[:m + 1, :m + 1].T.conj()).sum(0)
             assert got[1] == float(want.max()), tol
             # columns 0..m of the whole C L^{-H} are C_m L_m^{-H} and zeros
