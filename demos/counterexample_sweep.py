@@ -30,11 +30,13 @@ print("interleaving half-levels s1:", [f"{x:.4f}" for x in witness.s1[:2]])
 print("first usable stage:", witness.first_stage)
 
 # one stage on an arc straddling angle pi, where the pulled-back circle of
-# direction 1 crosses the dilation level: a Case II stage
+# direction 1 crosses the dilation level: a Case II stage.  A build has one
+# grid density: the arc, the disc circle and both witness curves are each
+# sampled at 256 points here (512 by default)
 cfg = BuildConfig(rho, EpsilonSchedule.default(3),
                   TargetEnumeration.cyclic([ComplexPolynomial([0.3 + 0j])],
                                            [UnitCircleArc(3.1316, 3.1516)], 1),
-                  arc_density=256)
+                  density=256)
 series, budget = build_counterexample_series(cfg, phi, witness, 1)
 print("\nbuild succeeded:", series.succeeded)
 for rec in series.stages:

@@ -1,9 +1,9 @@
 """Dilations toward an interior point other than the origin.
 
 Replacing r*z with w + r*(z - w) re-centers the whole ladder at w.  The
-same staged builder works, but the fits get much harder: the natural
-basis is still powers of z, and off-center level circles force high
-degrees.  The circle families for different centers are genuinely
+same staged builder works (a membership build given the center w), but
+the fits get much harder: the natural basis is still powers of z, and
+off-center level circles force high degrees.  The circle families for different centers are genuinely
 different objects, and a halving search finds how large a parameter disc
 around w keeps a single stage valid for every center inside it.
 """
@@ -12,7 +12,7 @@ import numpy as np
 
 from abeluniv import (BuildConfig, EpsilonSchedule, EuclideanCircle,
                       RadiiSchedule, TargetEnumeration, UnitCircleArc,
-                      build_shifted_membership_series, find_invariant_delta,
+                      build_membership_series, find_invariant_delta,
                       is_origin_shift_circle, shifted_stage_chain)
 from abeluniv.builder import _tau_samples
 from abeluniv.polyfit import ComplexPolynomial
@@ -21,7 +21,7 @@ w = 0.3
 cfg = BuildConfig(RadiiSchedule.default(4), EpsilonSchedule.default(4),
                   TargetEnumeration.cyclic([ComplexPolynomial([0.2 + 0.2j])],
                                            [UnitCircleArc(0.2, 0.4)], 2))
-series = build_shifted_membership_series(w, cfg, 2)
+series = build_membership_series(cfg, 2, w=w)
 print(f"shifted build at w = {w}: succeeded = {series.succeeded}")
 for rec in series.stages:
     print(f"  stage {rec.n}: degree {rec.fit.degree:>3} "

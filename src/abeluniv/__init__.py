@@ -27,8 +27,8 @@ from .builder import (BuildConfig, CounterexampleWitness, EpsilonSchedule,
                       RadiiSchedule, StageFailure, StageRecord,
                       TargetEnumeration, UniversalSeries,
                       build_counterexample_series, build_invariant_stage,
-                      build_membership_series, build_shifted_membership_series,
-                      classify_stage, compute_witness, find_invariant_delta,
+                      build_membership_series, classify_stage,
+                      compute_witness, find_invariant_delta,
                       min_modulus_sweep, schedule_pairs, series_from_dict,
                       series_to_dict, shift_deviation, shifted_stage_chain,
                       telescoping_errors)

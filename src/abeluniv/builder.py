@@ -131,9 +131,7 @@ class BuildConfig:
     rho: RadiiSchedule
     eps: EpsilonSchedule
     enumeration: TargetEnumeration
-    arc_density: int = 512
-    disc_density: int = 512
-    curve_density: int = 512
+    density: int = 512      # samples per arc, disc circle and witness curve
     max_degree: int = 512
 
 
@@ -243,47 +241,32 @@ def compute_witness(phi: DiscAutomorphism, zeta1: complex, zeta2: complex,
         raise ConfigError(f"radii schedule too short: need {N + 2} entries, got {len(rho.r)}")
 
     r = rho.r
-    r_minus1 = max(radial_monotone_threshold(phi, zeta1),
-                   radial_monotone_threshold(phi, zeta2))
-    start1 = abs(apply_automorphism(phi, r_minus1 * zeta1))
-    start2 = abs(apply_automorphism(phi, r_minus1 * zeta2))
-    start_max = max(start1, start2)
-
-    first = None
-    for n in range(1, N + 1):
-        if r[n] > start_max + 1e-12:
-            first = n
-            break
+    zetas = (zeta1, zeta2)
+    r_minus1 = max(radial_monotone_threshold(phi, z) for z in zetas)
+    starts = [abs(apply_automorphism(phi, r_minus1 * z)) for z in zetas]
+    first = next((n for n in range(1, N + 1) if r[n] > max(starts) + 1e-12), None)
     if first is None:
         raise ConfigError(
-            f"no stage level exceeds the curve start moduli (max {start_max:.6f}); "
+            f"no stage level exceeds the curve start moduli (max {max(starts):.6f}); "
             "the radii schedule sits below the witness range")
 
-    def solve(zeta, level):
-        return solve_level_radius(phi, zeta, level, r_minus1)
+    R, s, fb = [], [], []
+    for i, (zeta, start) in enumerate(zip(zetas, starts), 1):
+        R.append([solve_level_radius(phi, zeta, r[n], r_minus1) for n in range(first, N + 1)])
+        halves, fallback = [], False
+        for n in range(first - 1, N + 1):
+            half = 0.5 * (r[n] + r[n + 1])
+            if half > start + 1e-15:
+                halves.append(solve_level_radius(phi, zeta, half, r_minus1))
+            elif n == first - 1:
+                halves.append(r_minus1)
+                fallback = True
+            else:
+                raise InterleavingViolated(f"half level at stage {n} below curve {i} start")
+        s.append(halves)
+        fb.append(fallback)
 
-    R1 = [solve(zeta1, r[n]) for n in range(first, N + 1)]
-    R2 = [solve(zeta2, r[n]) for n in range(first, N + 1)]
-    s1, s2 = [], []
-    fb1 = fb2 = False
-    for n in range(first - 1, N + 1):
-        half = 0.5 * (r[n] + r[n + 1])
-        if half <= start1 + 1e-15:
-            if n != first - 1:
-                raise InterleavingViolated(f"half level at stage {n} below curve 1 start")
-            s1.append(r_minus1)
-            fb1 = True
-        else:
-            s1.append(solve(zeta1, half))
-        if half <= start2 + 1e-15:
-            if n != first - 1:
-                raise InterleavingViolated(f"half level at stage {n} below curve 2 start")
-            s2.append(r_minus1)
-            fb2 = True
-        else:
-            s2.append(solve(zeta2, half))
-
-    w = CounterexampleWitness(zeta1, zeta2, r_minus1, first, N, R1, R2, s1, s2, fb1, fb2)
+    w = CounterexampleWitness(zeta1, zeta2, r_minus1, first, N, *R, *s, *fb)
     _check_interleaving(w)
     return w
 
@@ -366,7 +349,7 @@ def _curve_component(phi: DiscAutomorphism, zeta: complex, which: int,
     if window is not None:
         knots = np.array([x for x in window if p_from <= x <= p_to])
         params = np.unique(np.concatenate([params, knots]))
-    pts = apply_automorphism(phi, params * zeta)
+    pts = compacta.sample_radial_curve(phi, zeta, params).points
     if window is None:
         tgt = np.zeros(len(params), dtype=complex)
     else:
@@ -377,17 +360,20 @@ def _curve_component(phi: DiscAutomorphism, zeta: complex, which: int,
     return SampledComponent("RadialCurve", pts[keep], tgt[keep], which)
 
 
+def _stage_arc(cfg: BuildConfig, n: int, w: complex) -> SampledComponent:
+    """The stage-n dilated arc with target phi_alpha(n)(zeta), read at the
+    boundary point zeta, not at the dilated point."""
+    arc = cfg.enumeration.arcs[cfg.enumeration.beta[n - 1]]
+    comp = compacta.sample_dilated_arc(arc, cfg.rho.r[n], cfg.density, center=w)
+    phi_t = cfg.enumeration.targets[cfg.enumeration.alpha[n - 1]]
+    return comp.with_target(evaluate(phi_t, arc.sample(cfg.density)))
+
+
 def _membership_stage_compactum(cfg: BuildConfig, n: int, f_prev: ComplexPolynomial,
                                 w: complex = 0j):
-    r = cfg.rho.r
-    phi_t = cfg.enumeration.targets[cfg.enumeration.alpha[n - 1]]
-    arc = cfg.enumeration.arcs[cfg.enumeration.beta[n - 1]]
-    disc = compacta.sample_disc_constraint(r[n - 1], cfg.disc_density, center=w)
-    arc_comp = compacta.sample_dilated_arc(arc, r[n], cfg.arc_density, center=w)
-    # the target is read at the boundary point zeta, not at the dilated point
-    want = evaluate(phi_t, arc.sample(cfg.arc_density))
-    arc_comp = arc_comp.with_target(want - evaluate(f_prev, arc_comp.points))
-    return disc, arc_comp
+    disc = compacta.sample_disc_constraint(cfg.rho.r[n - 1], cfg.density, center=w)
+    arc_comp = _stage_arc(cfg, n, w)
+    return disc, arc_comp.with_target(arc_comp.target - evaluate(f_prev, arc_comp.points))
 
 
 def _component_sups(cc, poly) -> dict:
@@ -438,37 +424,36 @@ def _run_stages(series: UniversalSeries, cfg: BuildConfig, N: int,
         series.stages.append(StageRecord(n, case_label, poly, rep, info))
 
 
-def _membership_maker(cfg: BuildConfig, w: complex = 0j):
-    def make(n, f_prev):
-        return compacta.union(*_membership_stage_compactum(cfg, n, f_prev, w)), "I", {}
-    return make
-
-
-def build_membership_series(cfg: BuildConfig, N: int, tol_factor: float = 0.5
-                            ) -> UniversalSeries:
+def build_membership_series(cfg: BuildConfig, N: int, tol_factor: float = 0.5,
+                            w: Optional[complex] = None) -> UniversalSeries:
     """Stage n: fit P_n with target 0 on C(0, r_{n-1}) and target
     phi_alpha(n)(zeta) - F_{n-1}(r_n zeta) at the points r_n zeta of the
-    dilated arc r_n K_beta(n), so that F_n(r_n zeta) ~ phi_alpha(n)(zeta)."""
-    series = UniversalSeries("membership", cfg, N)
-    _run_stages(series, cfg, N, tol_factor, _membership_maker(cfg))
-    return series
+    dilated arc r_n K_beta(n), so that F_n(r_n zeta) ~ phi_alpha(n)(zeta).
 
-
-def build_shifted_membership_series(w: complex, cfg: BuildConfig, N: int,
-                                    tol_factor: float = 0.5) -> UniversalSeries:
-    """Same staging with the dilation centered at w: approximation on
-    {w + r_n(zeta - w)} with target phi(zeta), smallness on the shifted
-    circle {w + r_{n-1}(zeta - w)}."""
-    if abs(w) >= 1:
+    Given a center w, the dilation is centered at w instead and the series
+    is of kind "shifted": approximation on {w + r_n(zeta - w)} with target
+    phi(zeta), smallness on the shifted circle {w + r_{n-1}(zeta - w)}."""
+    if w is None:
+        series, center = UniversalSeries("membership", cfg, N), 0j
+    elif abs(w) >= 1:
         raise ConfigError("need |w| < 1")
-    series = UniversalSeries("shifted", cfg, N, extras={"w": complex(w)})
-    _run_stages(series, cfg, N, tol_factor, _membership_maker(cfg, complex(w)))
+    else:
+        center = complex(w)
+        series = UniversalSeries("shifted", cfg, N, extras={"w": center})
+
+    def make(n, f_prev):
+        return compacta.union(*_membership_stage_compactum(cfg, n, f_prev, center)), "I", {}
+    _run_stages(series, cfg, N, tol_factor, make)
     return series
 
 
-def _case3_eta(phi, witness, n, r_n, margin=1e-4, max_halvings=60) -> Optional[float]:
+_ETA_MARGIN = 1e-4     # slack each link of the case-III inequality chain must keep
+_ETA_HALVINGS = 60
+
+
+def _case3_eta(phi, witness, n, r_n) -> Optional[float]:
     """Largest halving-ladder eta for which the stage-n double-window
-    inequality chain holds; None when 60 halvings do not reach one."""
+    inequality chain holds; None when _ETA_HALVINGS halvings do not reach one."""
     lo_i, hi_i = (1, 2) if witness.R(1, n) < witness.R(2, n) else (2, 1)
     R_lo, R_hi = witness.R(lo_i, n), witness.R(hi_i, n)
     z_lo = witness.zeta1 if lo_i == 1 else witness.zeta2
@@ -481,12 +466,12 @@ def _case3_eta(phi, witness, n, r_n, margin=1e-4, max_halvings=60) -> Optional[f
     s_hi_prev, s_hi_next = witness.s(hi_i, n - 1), witness.s(hi_i, n)
     cap = min(witness.opposite_pin_gap(1, n), witness.opposite_pin_gap(2, n)) / 3.0
     eta = min((R_hi - R_lo) / 4.0, cap)
-    for _ in range(max_halvings):
-        ok = (max(lev(z_hi, s_hi_prev), lev(z_hi, R_lo + eta)) + margin
+    for _ in range(_ETA_HALVINGS):
+        ok = (max(lev(z_hi, s_hi_prev), lev(z_hi, R_lo + eta)) + _ETA_MARGIN
               <= lev(z_hi, R_hi - eta)
-              and lev(z_hi, R_hi - eta) + margin <= r_n
-              and r_n + margin <= lev(z_lo, R_lo + eta)
-              and lev(z_lo, R_lo + eta) + margin
+              and lev(z_hi, R_hi - eta) + _ETA_MARGIN <= r_n
+              and r_n + _ETA_MARGIN <= lev(z_lo, R_lo + eta)
+              and lev(z_lo, R_lo + eta) + _ETA_MARGIN
               <= min(lev(z_lo, s_lo_next), lev(z_lo, R_hi - eta))
               and lev(z_lo, R_lo - eta) >= lev(z_lo, s_lo_prev)
               and lev(z_hi, R_hi + eta) <= lev(z_hi, s_hi_next))
@@ -523,17 +508,6 @@ def build_counterexample_series(cfg: BuildConfig, phi: DiscAutomorphism,
                    apply_automorphism(phi, dense * witness.zeta2))
     zetas = (witness.zeta1, witness.zeta2)
 
-    def window_for(i, n, f_prev, phi_t):
-        """Case II window: the half-level band clipped to a third of the gap
-        to the nearest opposite-curve pin, linearly ramped to the arc's own
-        target value at the crossing point."""
-        pin = witness.R(i, n)
-        gap3 = witness.opposite_pin_gap(i, n) / 3.0
-        lo = max(witness.s(i, n - 1), pin - gap3)
-        hi = min(witness.s(i, n), pin + gap3)
-        z_pin = apply_automorphism(phi, pin * zetas[i - 1])
-        return (lo, pin, hi), _pin_value(phi_t, f_prev, z_pin), z_pin
-
     def make(n, f_prev):
         phi_t = cfg.enumeration.targets[cfg.enumeration.alpha[n - 1]]
         disc, arc_comp = _membership_stage_compactum(cfg, n, f_prev)
@@ -545,35 +519,36 @@ def build_counterexample_series(cfg: BuildConfig, phi: DiscAutomorphism,
                                 {"case": case.label, "first_stage": witness.first_stage})
         info = {"case_order": case.order}
         windows = [None, None]
-        pin_vals = [0j, 0j]
         starts = [witness.r_minus1, witness.r_minus1]
         if case.kind == "II":
+            # the half-level band, clipped to a third of the gap to the
+            # nearest opposite-curve pin
             i = 1 if case.crossing[0] else 2
-            windows[i - 1], pin_vals[i - 1], z_pin = window_for(i, n, f_prev, phi_t)
-            info["pins"] = [[z_pin.real, z_pin.imag]]
+            pin = witness.R(i, n)
+            gap3 = witness.opposite_pin_gap(i, n) / 3.0
+            windows[i - 1] = (max(witness.s(i, n - 1), pin - gap3), pin,
+                              min(witness.s(i, n), pin + gap3))
         elif case.kind == "III":
             eta = _case3_eta(phi, witness, n, r[n])
             if eta is None:
                 return StageFailure(n, "eta-not-found",
                                     {"R1": witness.R(1, n), "R2": witness.R(2, n)})
-            witness.eta[n] = eta
-            info["eta"] = eta
-            info["pins"] = []
-            for i in (1, 2):
-                pin = witness.R(i, n)
-                z_pin = apply_automorphism(phi, pin * zetas[i - 1])
-                windows[i - 1] = (pin - eta, pin, pin + eta)
-                pin_vals[i - 1] = _pin_value(phi_t, f_prev, z_pin)
-                info["pins"].append([z_pin.real, z_pin.imag])
+            witness.eta[n] = info["eta"] = eta
+            windows = [(pin - eta, pin, pin + eta) for pin in (witness.R(1, n), witness.R(2, n))]
             # the first-crossing curve is restricted to start at its
             # previous half level, which keeps the complement connected
             lo_i = 1 if case.order < 0 else 2
             starts[lo_i - 1] = witness.s(lo_i, n - 1)
         comps = [disc, arc_comp]
-        for i in (1, 2):
-            c = _curve_component(phi, zetas[i - 1], i, starts[i - 1], p_end,
-                                 cfg.curve_density, r[n - 1],
-                                 windows[i - 1], pin_vals[i - 1])
+        for i, (zeta, start, window) in enumerate(zip(zetas, starts, windows), 1):
+            pin_value = 0j
+            if window is not None:
+                # the window ramps up to the arc's own target at the pin
+                z_pin = apply_automorphism(phi, window[1] * zeta)
+                pin_value = _pin_value(phi_t, f_prev, z_pin)
+                info.setdefault("pins", []).append([z_pin.real, z_pin.imag])
+            c = _curve_component(phi, zeta, i, start, p_end, cfg.density, r[n - 1],
+                                 window, pin_value)
             if c is not None:
                 comps.append(c)
         info["windows"] = [list(w) if w else None for w in windows]
@@ -618,27 +593,27 @@ def telescoping_errors(series: UniversalSeries) -> List[dict]:
     rows = []
     for rec in series.stages:
         n = rec.n
-        arc = cfg.enumeration.arcs[rec.info["beta"]]
-        phi_t = cfg.enumeration.targets[rec.info["alpha"]]
-        pts = compacta.sample_dilated_arc(arc, cfg.rho.r[n], cfg.arc_density, w).points
-        want = evaluate(phi_t, arc.sample(cfg.arc_density))
-        sup = float(np.max(np.abs(evaluate(F, pts) - want)))
+        sup = sup_distance(_stage_arc(cfg, n, w), lambda z: evaluate(F, z))
         bound = eps[n] + sum(eps[n + 1:built + 1])
         rows.append({"n": n, "sup": sup, "bound": bound,
                      "alpha": rec.info["alpha"], "beta": rec.info["beta"]})
     return rows
 
 
-def build_invariant_stage(w_center: complex, delta: float, r_k: float,
-                          arc: UnitCircleArc, target_index: int, targets,
-                          tol: Optional[float] = None, disc_density: int = 512,
-                          param_density: int = 12, arc_density: int = 64,
-                          n_checks: int = 50, max_degree: int = 512
-                          ) -> Tuple[ComplexPolynomial, FitReport]:
-    """One shifted-family stage: fit P small on an inner circle and close to
-    phi_m composed with the inverse shift on the parameter-union compactum.
+_INVARIANT_DISC_DENSITY = 512
+_INVARIANT_MAX_DEGREE = 512
+_SHIFT_CHECKS = 50              # parameters tau sampled by shift_deviation
+_SHIFT_CIRCLE_DENSITY = 256
 
-    Before fitting, verifies on n_checks sampled parameters tau that
+
+def build_invariant_stage(w_center: complex, delta: float, r_k: float,
+                          arc: UnitCircleArc, target_index: int, targets
+                          ) -> Tuple[ComplexPolynomial, FitReport]:
+    """One shifted-family stage: fit P to tolerance 1/m, small on an inner
+    circle and close to phi_m composed with the inverse shift on the
+    parameter-union compactum.
+
+    Before fitting, verifies on _SHIFT_CHECKS sampled parameters tau that
     replacing the plain dilation by the tau-shifted automorphism moves
     phi_m by less than 1/m on the whole closed disc (checked on the unit
     circle, where the holomorphic difference attains its maximum).
@@ -652,22 +627,22 @@ def build_invariant_stage(w_center: complex, delta: float, r_k: float,
         raise ConfigError("target_index must be >= 1 (it sets the 1/m bound)")
     phi_m = targets[m]
     bound = 1.0 / m
-    dev = shift_deviation(w_center, delta, r_k, phi_m, n_checks)
+    dev = shift_deviation(w_center, delta, r_k, phi_m)
     if dev >= bound:
         raise ParameterDiscTooLarge(
             f"shift family moves the target by {dev:.3e} >= 1/m = {bound:.3e}; "
             "shrink delta")
 
-    cc = build_F_compactum(w_center, delta, r_k, arc, param_density, arc_density)
+    cc = build_F_compactum(w_center, delta, r_k, arc)
     fpts = cc.components[0].points
     want = evaluate(phi_m, mobius_shift(-w_center, fpts))
     fcomp = cc.components[0].with_target(want)
     inner = 0.9 * float(np.min(np.abs(fpts)))
-    disc = compacta.sample_disc_constraint(inner, disc_density)
+    disc = compacta.sample_disc_constraint(inner, _INVARIANT_DISC_DENSITY)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OverlapWarning)
         stage = compacta.union(disc, fcomp)
-    return fit_until(stage, bound if tol is None else tol, max_degree)
+    return fit_until(stage, bound, _INVARIANT_MAX_DEGREE)
 
 
 def _tau_samples(w_center: complex, delta: float, n: int) -> np.ndarray:
@@ -681,15 +656,18 @@ def _tau_samples(w_center: complex, delta: float, n: int) -> np.ndarray:
     return w_center + rad * np.exp(1j * ang)
 
 
+def _unit_circle() -> np.ndarray:
+    return np.exp(2j * math.pi * np.arange(_SHIFT_CIRCLE_DENSITY) / _SHIFT_CIRCLE_DENSITY)
+
+
 def shift_deviation(w_center: complex, delta: float, r_k: float,
-                    phi_m: ComplexPolynomial, n_checks: int = 50,
-                    circle_density: int = 256) -> float:
+                    phi_m: ComplexPolynomial) -> float:
     """max over sampled tau and over the unit circle of
     |phi_m(shift_inv(shift_tau(r_k z))) - phi_m(r_k z)|."""
-    z = np.exp(2j * math.pi * np.arange(circle_density) / circle_density)
+    z = _unit_circle()
     base = evaluate(phi_m, r_k * z)
     worst = 0.0
-    for tau in _tau_samples(w_center, delta, n_checks):
+    for tau in _tau_samples(w_center, delta, _SHIFT_CHECKS):
         moved = evaluate(phi_m, mobius_shift(-w_center, mobius_shift(tau, r_k * z)))
         worst = max(worst, float(np.max(np.abs(moved - base))))
     return worst
@@ -697,36 +675,31 @@ def shift_deviation(w_center: complex, delta: float, r_k: float,
 
 def find_invariant_delta(w_center: complex, delta0: float, r_k: float,
                          arc: UnitCircleArc, target_index: int, targets,
-                         max_halvings: int = 40, **kwargs):
+                         max_halvings: int = 40):
     """Halve delta from delta0 until the shift-deviation bound 1/m holds,
     then build the stage; returns (delta, polynomial, report)."""
-    m = target_index
-    if m < 1:
-        raise ConfigError("target_index must be >= 1")
     delta = delta0
     for _ in range(max_halvings):
-        if abs(w_center) + delta < 1 and \
-                shift_deviation(w_center, delta, r_k, targets[m]) < 1.0 / m:
-            poly, rep = build_invariant_stage(w_center, delta, r_k, arc,
-                                              target_index, targets, **kwargs)
-            return delta, poly, rep
+        if abs(w_center) + delta < 1:
+            try:
+                poly, rep = build_invariant_stage(w_center, delta, r_k, arc,
+                                                  target_index, targets)
+                return delta, poly, rep
+            except ParameterDiscTooLarge:
+                pass
         delta /= 2
     raise ConfigError(f"no workable delta found below {delta0}")
 
 
 def shifted_stage_chain(poly: ComplexPolynomial, w_center: complex, tau: complex,
                         r_k: float, phi_m: ComplexPolynomial,
-                        arc: Optional[UnitCircleArc] = None,
-                        circle_density: int = 256) -> Tuple[float, float, float]:
+                        arc: Optional[UnitCircleArc] = None) -> Tuple[float, float, float]:
     """The three measured legs of |P(shift_tau(r_k z)) - phi_m(r_k z)|:
     (fit leg, shift-deviation leg, their sum).
 
     Probed on the dilated arc when one is given (the set the stage fit
     actually constrains); the full circle otherwise."""
-    if arc is not None:
-        z = arc.sample(circle_density)
-    else:
-        z = np.exp(2j * math.pi * np.arange(circle_density) / circle_density)
+    z = _unit_circle() if arc is None else arc.sample(_SHIFT_CIRCLE_DENSITY)
     moved = mobius_shift(tau, r_k * z)
     pulled = evaluate(phi_m, mobius_shift(-w_center, moved))
     fit_leg = float(np.max(np.abs(evaluate(poly, moved) - pulled)))
@@ -760,8 +733,7 @@ def series_to_dict(series: UniversalSeries) -> dict:
         "arcs": [[a.alpha, a.beta] for a in cfg.enumeration.arcs],
         "alpha": list(cfg.enumeration.alpha),
         "beta": list(cfg.enumeration.beta),
-        "densities": {"arc": cfg.arc_density, "disc": cfg.disc_density,
-                      "curve": cfg.curve_density},
+        "density": cfg.density,
         "max_degree": cfg.max_degree,
         "stages": [{
             "n": s.n, "case": s.case, "coeffs": poly_to_pairs(s.poly),
@@ -794,8 +766,7 @@ def series_from_dict(d: dict) -> UniversalSeries:
             [poly_from_pairs(p) for p in d["targets"]],
             [UnitCircleArc(a, b) for a, b in d["arcs"]],
             d["alpha"], d["beta"]),
-        arc_density=d["densities"]["arc"], disc_density=d["densities"]["disc"],
-        curve_density=d["densities"]["curve"], max_degree=d["max_degree"])
+        density=d["density"], max_degree=d["max_degree"])
     series = UniversalSeries(d["kind"], cfg, d["n_stages"])
     for s in d["stages"]:
         rep = FitReport(s["fit"]["degree"], s["fit"]["sup_error"],

@@ -212,8 +212,7 @@ def cmd_build(args) -> int:
         enum = builder.TargetEnumeration(targets, arcs, [], [])
     else:
         enum = builder.TargetEnumeration.cyclic(targets, arcs, N)
-    cfg = builder.BuildConfig(rho, eps, enum, arc_density=args.density,
-                              disc_density=args.density, curve_density=args.density,
+    cfg = builder.BuildConfig(rho, eps, enum, density=args.density,
                               max_degree=args.max_degree)
     config = {"command": "build", "kind": kind, "stages": N,
               "targets": [polyfit.poly_to_pairs(p) for p in targets],
@@ -224,13 +223,13 @@ def cmd_build(args) -> int:
 
     sweep_info = None
     if kind == "membership":
+        w = None
         if args.w is not None:
             w = _parse_complex(args.w)
             config["w"] = [w.real, w.imag]
-            series = builder.build_shifted_membership_series(
-                w, cfg, N, tol_factor=args.tol_factor)
-        else:
-            series = builder.build_membership_series(cfg, N, tol_factor=args.tol_factor)
+        series = builder.build_membership_series(cfg, N, tol_factor=args.tol_factor, w=w)
+    elif args.w is not None:
+        raise ConfigError("--w applies only to membership builds")
     else:
         a = _parse_complex(args.a)
         phi = geometry.DiscAutomorphism(a, args.theta)
@@ -298,7 +297,12 @@ def _compose_for_probe(series, args, grid):
 def cmd_probe(args) -> int:
     started = time.time()
     data = _load_json(args.series)
-    series = builder.series_from_dict(data)
+    try:
+        series = builder.series_from_dict(data)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # ConfigError is a ValueError: a field with a bad value lands here too
+        raise ConfigError(f"file {args.series} does not hold a series: "
+                          f"{type(exc).__name__} {exc}") from None
     if not args.scan and not args.sweep and not args.check:
         raise ConfigError("nothing to do: pass --scan, --sweep, or --check")
     built = len(series.stages)

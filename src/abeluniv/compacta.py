@@ -109,16 +109,13 @@ def sample_disc_constraint(r: float, density: int, center: complex = 0j) -> Samp
     return SampledComponent("DiscBoundary", pts, np.zeros(density, dtype=complex))
 
 
-def sample_radial_curve(phi: DiscAutomorphism, zeta: complex, r_from: float,
-                        r_to: float, density: int) -> SampledComponent:
-    """Images phi(r zeta) for density equally spaced r in [r_from, r_to]."""
-    if not (0 <= r_from < r_to < 1):
-        raise ConfigError(f"need 0 <= r_from < r_to < 1, got [{r_from}, {r_to}]")
-    if density < 2:
-        raise ConfigError("density must be >= 2")
-    params = np.linspace(r_from, r_to, density)
-    pts = apply_automorphism(phi, params * zeta)
-    return SampledComponent("RadialCurve", pts)
+def sample_radial_curve(phi: DiscAutomorphism, zeta: complex,
+                        radii: np.ndarray) -> SampledComponent:
+    """Images phi(r zeta) for the given radii r, each in [0, 1)."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.size == 0 or not np.all((radii >= 0) & (radii < 1)):
+        raise ConfigError("need a nonempty array of radii in [0, 1)")
+    return SampledComponent("RadialCurve", apply_automorphism(phi, radii * zeta))
 
 
 def sup_distance(component: SampledComponent, f) -> float:

@@ -247,9 +247,11 @@ def fixed_point_radius(w: complex, a: complex) -> complex:
     return (w - a) / den
 
 
-def build_F_compactum(w_center: complex, delta: float, r_k: float,
-                      arc: UnitCircleArc, param_density: int = 12,
-                      arc_density: int = 64):
+_F_PARAM_DENSITY = 12   # radii and angles of the polar parameter grid
+_F_ARC_DENSITY = 64
+
+
+def build_F_compactum(w_center: complex, delta: float, r_k: float, arc: UnitCircleArc):
     """Union over parameters tau in the closed disc D(w_center, delta) of the
     curves (z + tau)/(1 + conj(tau) z) applied to the dilated arc r_k * arc.
 
@@ -264,13 +266,11 @@ def build_F_compactum(w_center: complex, delta: float, r_k: float,
         raise EscapesDisc(f"parameter disc leaves the unit disc: |w|+delta = {abs(w_center) + delta}")
     if not (0 < r_k < 1):
         raise ConfigError(f"need 0 < r_k < 1, got {r_k}")
-    if param_density < 1 or arc_density < 2:
-        raise ConfigError("param_density >= 1 and arc_density >= 2 required")
 
     taus = []
     seen = set()
-    radii = np.linspace(0.0, delta, param_density) if delta > 0 else np.array([0.0])
-    angles = 2.0 * math.pi * np.arange(param_density) / param_density
+    radii = np.linspace(0.0, delta, _F_PARAM_DENSITY) if delta > 0 else np.array([0.0])
+    angles = 2.0 * math.pi * np.arange(_F_PARAM_DENSITY) / _F_PARAM_DENSITY
     for rad in radii:
         for ang in angles:
             tau = w_center + rad * cmath.exp(1j * ang)
@@ -279,7 +279,7 @@ def build_F_compactum(w_center: complex, delta: float, r_k: float,
                 seen.add(key)
                 taus.append(tau)
 
-    base = r_k * arc.sample(arc_density)
+    base = r_k * arc.sample(_F_ARC_DENSITY)
     chunks = [mobius_shift(tau, base) for tau in taus]
     points = np.concatenate(chunks)
     if np.max(np.abs(points)) >= 1.0 - 1e-9:

@@ -342,9 +342,8 @@ def _base_pass(cc: CompoundCompactum) -> _Pass:
             raise ConfigError(f"component {c.kind} has no target")
     sizes = [len(c.points) for c in cc.components]
     slices = [slice(end - n, end) for end, n in zip(np.cumsum(sizes), sizes)]
-    base = grid_weights(cc)
     return _Pass(np.concatenate([c.points for c in cc.components]),
-                 np.concatenate([c.target for c in cc.components]), base / base.sum(), slices)
+                 np.concatenate([c.target for c in cc.components]), grid_weights(cc), slices)
 
 
 def fit_polynomial(cc: CompoundCompactum, degree: int, *, tol: Optional[float] = None,

@@ -243,12 +243,15 @@ def _as_inverse_pair(g) -> Tuple[Callable, Callable]:
     return _horner(g), _horner(derivative(g))
 
 
-def _damped_newton(gf, dg, h0: complex, w: complex, tol: float,
-                   iters: int = 40) -> Tuple[complex, float, bool]:
+_NEWTON_ITERS = 40
+
+
+def _damped_newton(gf, dg, h0: complex, w: complex, tol: float
+                   ) -> Tuple[complex, float, bool]:
     h = h0
     e = gf(h) - w
     res = abs(e)
-    for _ in range(iters):
+    for _ in range(_NEWTON_ITERS):
         if res <= tol:
             return h, res, True
         d = dg(h)

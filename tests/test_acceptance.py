@@ -157,7 +157,7 @@ def test_criterion_03_membership_depth_8():
                           [const(0.2), const(-0.3j)],
                           [UnitCircleArc(0.30, 0.32), UnitCircleArc(3.60, 3.62)],
                           8),
-                      arc_density=512, max_degree=512)
+                      density=512, max_degree=512)
     series = build_membership_series(cfg, 8)
     elapsed = time.monotonic() - t0
     if series.succeeded:
@@ -245,7 +245,7 @@ def test_criterion_05_precomposition_counterexample():
                           [const(10.0)],
                           [UnitCircleArc(3.1316, 3.1516), UnitCircleArc(0.30, 0.32)],
                           6),
-                      arc_density=512, max_degree=512)
+                      density=512, max_degree=512)
     series, budget = build_counterexample_series(cfg, phi, witness, 6)
     elapsed = time.monotonic() - t0
     if series.succeeded:

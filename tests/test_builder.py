@@ -34,7 +34,6 @@ from abeluniv import (
     build_counterexample_series,
     build_invariant_stage,
     build_membership_series,
-    build_shifted_membership_series,
     classify_stage,
     compute_witness,
     evaluate,
@@ -47,8 +46,8 @@ from abeluniv import (
     telescoping_errors,
 )
 from abeluniv.builder import (CounterexampleWitness, _check_interleaving,
-                              _tau_samples, series_from_dict, series_to_dict,
-                              witness_from_dict, witness_to_dict)
+                              _curve_component, _tau_samples, series_from_dict,
+                              series_to_dict, witness_from_dict, witness_to_dict)
 
 PHI = DiscAutomorphism(0.5)
 
@@ -350,14 +349,14 @@ def test_build_validation(two_target_cfg):
 
 def test_shifted_center_zero_matches_plain(two_target_cfg):
     plain = build_membership_series(two_target_cfg, 2)
-    shifted = build_shifted_membership_series(0j, two_target_cfg, 2)
+    shifted = build_membership_series(two_target_cfg, 2, w=0j)
     for a, b in zip(plain.stages, shifted.stages):
         assert tuple(a.poly.coeffs) == tuple(b.poly.coeffs)
 
 
 def test_shifted_center_validation(two_target_cfg):
     with pytest.raises(ConfigError):
-        build_shifted_membership_series(1.0 + 0j, two_target_cfg, 1)
+        build_membership_series(two_target_cfg, 1, w=1.0 + 0j)
 
 
 @pytest.fixture(scope="module")
@@ -365,7 +364,7 @@ def shifted_build():
     cfg = BuildConfig(RadiiSchedule.default(3), EpsilonSchedule.default(3),
                       TargetEnumeration.cyclic([const(0.2 + 0.2j)],
                                                [UnitCircleArc(0.2, 0.4)], 2))
-    return cfg, build_shifted_membership_series(0.3, cfg, 2)
+    return cfg, build_membership_series(cfg, 2, w=0.3)
 
 
 def test_shifted_build_converges_on_shifted_arcs(shifted_build):
@@ -399,9 +398,22 @@ def test_shifted_wide_arc_stalls_honestly():
     cfg = BuildConfig(RadiiSchedule.default(7), EpsilonSchedule.default(7),
                       TargetEnumeration.cyclic([const(1 + 1j)],
                                                [UnitCircleArc(0, math.pi / 2)], 6))
-    s = build_shifted_membership_series(0.3, cfg, 6)
+    s = build_membership_series(cfg, 6, w=0.3)
     assert not s.succeeded
     assert s.failure.n == 1 and s.failure.reason == "tolerance-unreachable"
+
+
+def test_shifted_build_round_trip():
+    cfg = BuildConfig(RadiiSchedule.default(3), EpsilonSchedule.default(3),
+                      TargetEnumeration.cyclic([const(0.2)], [UnitCircleArc(0.2, 0.4)], 1),
+                      density=128)
+    s = build_membership_series(cfg, 1, w=0.3 + 0.1j)
+    d = series_to_dict(s)
+    assert (d["kind"], d["w"], d["density"]) == ("shifted", [0.3, 0.1], 128)
+    blob = json.dumps(d, sort_keys=True)
+    s2 = series_from_dict(json.loads(blob))
+    assert json.dumps(series_to_dict(s2), sort_keys=True) == blob
+    assert (s2.kind, s2.extras["w"], s2.config.density) == ("shifted", 0.3 + 0.1j, 128)
 
 
 # serialization of whole builds
@@ -559,13 +571,25 @@ def test_counterexample_series_round_trip():
     assert s2.extras["witness"].eta[1] == w.eta[1]
 
 
+def test_case_two_curve_samples_the_map_at_its_window_knots():
+    # the stage-1 case-II window on curve 1, as the counterexample build sets it
+    w = compute_witness(PHI, 1 + 0j, 1j, RadiiSchedule.default(3), 1)
+    pin, gap3 = w.R(1, 1), w.opposite_pin_gap(1, 1) / 3.0
+    window = (max(w.s(1, 0), pin - gap3), pin, min(w.s(1, 1), pin + gap3))
+    c = _curve_component(PHI, 1 + 0j, 1, w.r_minus1, 0.999, 64, 0.0, window, 0.5j)
+    params = np.unique(np.concatenate([np.linspace(w.r_minus1, 0.999, 64), window]))
+    assert len(params) == 67
+    assert np.array_equal(c.points, apply_automorphism(PHI, params * 1))
+    assert c.target[np.searchsorted(params, pin)] == 0.5j
+
+
 _CRITERION_5_BUILD = """
 import json
 from abeluniv import *
 rho = RadiiSchedule.default(10)
 cfg = BuildConfig(rho, EpsilonSchedule.default(10), TargetEnumeration.cyclic(
     [ComplexPolynomial([10.0])], [UnitCircleArc(3.1316, 3.1516), UnitCircleArc(0.30, 0.32)], 6),
-    arc_density=512, max_degree=512)
+    density=512, max_degree=512)
 w = compute_witness(DiscAutomorphism(0.5, 0.0), 1 + 0j, 1j, rho, 6)
 f = build_counterexample_series(cfg, DiscAutomorphism(0.5, 0.0), w, 6)[0].failure
 print(json.dumps([f.n, [d for d, _ in f.detail["history"]], f.detail["best_sup"]]))
@@ -625,6 +649,20 @@ def test_find_invariant_delta_frozen():
     assert rep.degree == 2
     assert rep.sup_error <= 0.25
     assert abs(rep.sup_error - 0.2449677) < 1e-4
+
+
+def test_find_invariant_delta_measures_each_delta_once(monkeypatch):
+    tried = []
+
+    def counted(w_center, delta, r_k, phi_m):
+        tried.append(delta)
+        return shift_deviation(w_center, delta, r_k, phi_m)
+
+    monkeypatch.setattr(abeluniv.builder, "shift_deviation", counted)
+    delta, _, _ = find_invariant_delta(0.2, 0.3, 0.5, UnitCircleArc(0.3, 1.0),
+                                       4, INVARIANT_TARGETS)
+    assert delta == 0.075
+    assert tried == [0.3, 0.15, 0.075]
 
 
 def test_invariant_chain_legs_bounded():

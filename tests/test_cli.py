@@ -214,6 +214,14 @@ def test_build_rejects_a_targets_file_that_is_not_json(tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: file {bad} does not hold JSON\n"
 
 
+def test_build_counterexample_rejects_a_center(tmp_path, capsys):
+    out = str(tmp_path / "counter")
+    assert main(["build", "counterexample", "--stages", "1", "--w", "0.3,0",
+                 "--out", out]) == 1
+    assert capsys.readouterr().err == "config error: --w applies only to membership builds\n"
+    assert not os.path.exists(out + ".json")
+
+
 # probe
 
 
@@ -261,6 +269,23 @@ def test_probe_rejects_a_series_file_that_is_not_json(tmp_path, capsys):
     bad.write_text("[[bogus")
     assert main(["probe", "--series", str(bad), "--scan"]) == 1
     assert capsys.readouterr().err == f"config error: file {bad} does not hold JSON\n"
+
+
+def _old_density_keys(artifacts):
+    payload = json.load(open(artifacts["member"] + ".json"))
+    payload["densities"] = dict.fromkeys(("arc", "disc", "curve"), payload.pop("density"))
+    return payload
+
+
+@pytest.mark.parametrize("content", [{}, [1, 2], _old_density_keys],
+                         ids=["empty-object", "list", "old-densities-key"])
+def test_probe_rejects_a_json_file_that_is_not_a_series(tmp_path, artifacts, capsys,
+                                                         content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content(artifacts) if callable(content) else content))
+    assert main(["probe", "--series", str(bad), "--scan"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: file {bad} does not hold a series: ")
 
 
 def test_probe_requires_an_action(artifacts, capsys):

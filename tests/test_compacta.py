@@ -55,9 +55,15 @@ def test_shifted_arc_center():
 
 def test_radial_curve_matches_map():
     phi = DiscAutomorphism(0.5, 0.0)
-    comp = sample_radial_curve(phi, 1j, 0.0, 0.9, 33)
+    comp = sample_radial_curve(phi, 1j, np.linspace(0.0, 0.9, 33))
     rs = np.linspace(0.0, 0.9, 33)
     assert np.allclose(comp.points, apply_automorphism(phi, rs * 1j))
+
+
+@pytest.mark.parametrize("radii", [[-0.1, 0.5], [0.5, 1.0], [0.2, math.nan], []])
+def test_radial_curve_rejects_radii_outside_the_disc(radii):
+    with pytest.raises(ConfigError):
+        sample_radial_curve(DiscAutomorphism(0.5, 0.0), 1j, radii)
 
 
 def test_union_separation_single_component_infinite():

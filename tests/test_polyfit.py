@@ -535,8 +535,8 @@ def _counterexample_shaped_components():
     phi = DiscAutomorphism(0.5, 0.0)
     return [sample_disc_constraint(0.5, 512),
             sample_dilated_arc(UnitCircleArc(3.1316, 3.1516), 0.75, 512),
-            sample_radial_curve(phi, 1, 0.0015, 0.994, 207),
-            sample_radial_curve(phi, 1j, 0.5, 0.999, 512)]
+            sample_radial_curve(phi, 1, np.linspace(0.0015, 0.994, 207)),
+            sample_radial_curve(phi, 1j, np.linspace(0.5, 0.999, 512))]
 
 
 @pytest.mark.parametrize("components,a", [

@@ -257,7 +257,7 @@ def test_scan_and_telescoping_read_the_target_at_the_same_points():
     series = build_membership_series(cfg, 1)
     assert series.succeeded
     rep = universality_scan(series.total(), [IDENT], [UnitCircleArc(0.3, 0.5)],
-                            cfg.rho, 1, density=cfg.arc_density)
+                            cfg.rho, 1, density=cfg.density)
     rows = telescoping_errors(series)
     assert len(rows) == len(rep.rows) == 1
     for tel, scan in zip(rows, rep.rows):
