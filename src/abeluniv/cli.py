@@ -317,12 +317,10 @@ def cmd_probe(args) -> int:
     if args.scan:
         if built < 1:
             raise ConfigError("series has no built stages to scan")
-        grid_parts = []
-        for arc in cfg.enumeration.arcs:
-            zeta = arc.sample(args.density)
-            for n in range(1, built + 1):
-                grid_parts.append(cfg.rho.r[n] * zeta)
-        grid = np.concatenate(grid_parts)
+        if args.density < 2:
+            raise ConfigError("density must be >= 2")
+        zetas = [arc.sample(args.density) for arc in cfg.enumeration.arcs]
+        grid = np.concatenate([cfg.rho.r[n] * z for z in zetas for n in range(1, built + 1)])
         expr = _compose_for_probe(series, args, grid)
         report = probe.universality_scan(expr, list(cfg.enumeration.targets),
                                          list(cfg.enumeration.arcs), cfg.rho,

@@ -6,22 +6,16 @@ and a degree search with measured (never assumed) grid residuals.
 
 The returned object is always a plain coefficient vector evaluated by
 nested multiplication, and FitReport.sup_error is the exact grid residual
-of that vector. At high degree on near-boundary grids the synthesized
-coefficients can grow until double-precision evaluation noise dominates;
-because the residual is measured on the returned representation, that
-failure mode shows up honestly as a plateau instead of a fake success.
+of that vector: where synthesized coefficients grow until evaluation noise
+dominates, that shows up honestly as a plateau, not as a fake success.
 
-The Arnoldi columns are nested in degree, so one pass up to a target
-degree holds the fit at every lower degree; they are built in blocks of 8
-by block Gram-Schmidt (see _Pass). fit_until doubles the target until a
-fit meets the tolerance, then steps it down (see fit_until), and every
-fit of that search starts on one base-weight pass: each higher target
-grows its columns, each lower target and the final refit read them.
-Rounds 2-8 of a fit reweight those columns by one LAPACK Cholesky
-factorization of their weighted Gram matrix, and run only where the
-pass's weighted-L2 residual, a lower bound on every sup at that degree,
-lets tol be met. A round's Gram matrix skips its largest component's
-rows, and its sups are bounded on 128 rows before any is measured on all.
+One Arnoldi pass (_Pass) serves every fit of a degree search (fit_until):
+each higher target grows its columns, each lower target and the final
+refit read them. Rounds 2-8 of a fit reweight those columns by a Cholesky
+factorization of their weighted Gram matrix, summed from per-component
+parts built once per width (_Pass.gram), and run only where the pass's
+weighted-L2 residual, a lower bound on every sup at that degree, lets tol
+be met. The final refit reads the rounds its passing fit already ran.
 """
 
 from __future__ import annotations
@@ -196,7 +190,8 @@ class _Pass:
     columns; a higher one copies them into arrays as wide as its block, the
     shapes of a fresh pass. All fits with tol on one pass give the same tol.
     A BasisBreakdown leaves the pass as it was, as does reweighted(a, degree,
-    tol), fit at weights w times a[c] on the rows of component c (slices)."""
+    tol), fit at weights w times a[c] on the rows of component c (slices),
+    but for the Gram parts and rounds it keeps."""
 
     def __init__(self, z: np.ndarray, y: np.ndarray, w: np.ndarray, slices=None):
         self.z, self.y, self.w, self.wy, self.sw = z, y, w, w * y, np.sqrt(w)
@@ -205,6 +200,7 @@ class _Pass:
         self.cols = (np.zeros((len(z), 0), complex, "F"), np.zeros((0, 0), complex, "F"),
                      np.zeros(0), np.zeros(0), y.copy(), None, [])
         self.top, self.met = -1, False   # the column the last fit stopped at; tol met there
+        self.parts, self.memo = {}, {}   # gram's (width, part) per component; rounds kept
 
     Q = property(lambda self: self.cols[0][:, :self.top + 1])
     C = property(lambda self: self.cols[1][:self.top + 1, :self.top + 1])
@@ -294,27 +290,39 @@ class _Pass:
                     self.top, self.met = m, met
                     return fit
 
-    def reweighted(self, a: np.ndarray, degree: int, tol: Optional[float] = None):
-        """fit's tuple at weights w = self.w times a[c] on component c, summing to 1,
-        from columns 0..degree in hand (CholeskyQR, Yamamoto et al., ETNA 2015): with
-        Q those columns and Q^H diag(w) Q = L L^H, every prefix of Q L^{-H} is
-        w-orthonormal, and d = L^{-1} Q^H w y. That costs about spread^1.5 * eps of
-        max|y|, spread that of a (1e-10 at 1e4), so past _SPREAD it raises BasisBreakdown.
-        As Q is self.w-orthonormal, Q^H diag(w) Q = s_ref I + Q^H diag(w - s_ref self.w) Q,
-        and the rows of the component of scale s_ref drop out: the largest, of least scale
-        among equals, which keeps s_ref times Q's orthogonality error least. Column m of
-        K = cumsum(L^{-H} d) is the fit at degree m in Q's columns; max|r_m| on the _BLOCK
-        rows of largest |r_degree| bounds max|r_m| from below, and only an m where that
-        bound meets tol is measured on every row."""
-        if not a.max() <= _SPREAD * a.min():
-            raise BasisBreakdown(f"reweighting weights spread past {_SPREAD:.0e}")
+    def gram(self, a: np.ndarray, n1: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(s, G): row scales s = a[c] / sum(w a) and G = Q^H diag(self.w s) Q on columns
+        0..n1-1, lower triangle. Q is self.w-orthonormal, so G = s_ref I + the sum over the
+        other components of (s_c - s_ref) P_c, P_c = _gram of c's rows at self.w, built once
+        per width n1 (its bits vary with the width); ref is the largest, of least scale
+        among equals, which keeps s_ref times Q's orthogonality error least."""
         s = np.repeat(a, [sl.stop - sl.start for sl in self.slices])
         s = s / (self.w @ s)
         ref = max(self.slices, key=lambda sl: (sl.stop - sl.start, -s[sl.start]))
-        v, n1, y, Q = self.w * (s - s[ref.start]), degree + 1, self.y, self.Q[:, :degree + 1]
-        G = _gram(Q[:ref.start], v[:ref.start])   # v is 0 on ref's rows: skip them
-        G += _gram(Q[ref.stop:], v[ref.stop:])
-        G[np.diag_indices(n1)] += s[ref.start]
+        G = s[ref.start] * np.eye(n1, dtype=complex)
+        for c, sl in enumerate(self.slices):
+            if sl != ref:
+                if self.parts.get(c, (0,))[0] != n1:
+                    self.parts[c] = n1, _gram(self.Q[sl, :n1], self.w[sl])
+                G += (s[sl.start] - s[ref.start]) * self.parts[c][1]
+        return s, G
+
+    def reweighted(self, a: np.ndarray, degree: int, tol: Optional[float] = None):
+        """fit's tuple at weights w = self.w times a[c] on component c, summing to 1, from
+        columns 0..degree in hand (CholeskyQR, Yamamoto et al., ETNA 2015): with Q those columns
+        and Q^H diag(w) Q = L L^H (gram), every prefix of Q L^{-H} is w-orthonormal, and
+        d = L^{-1} Q^H w y. That costs about spread^1.5 * eps of max|y|, spread that of a (1e-10
+        at 1e4), so past _SPREAD it raises BasisBreakdown. Column m of K = cumsum(L^{-H} d) is the
+        fit at degree m; max|r_m| on the _BLOCK rows of largest |r_degree| bounds it below, and
+        only an m where that bound meets tol is measured on all rows. self.memo keeps each round
+        with tol that returns m = degree: a round without tol computes that tuple, so reads it."""
+        key = (degree, a.tobytes())
+        if tol is None and key in self.memo:
+            return self.memo[key]
+        if not a.max() <= _SPREAD * a.min():
+            raise BasisBreakdown(f"reweighting weights spread past {_SPREAD:.0e}")
+        n1, y, Q = degree + 1, self.y, self.Q[:, :degree + 1]
+        s, G = self.gram(a, n1)
         X, C = _inverse_cholesky(G), self.C[:n1, :n1]
         K = np.conjugate(X.T, out=G)   # in G's array, which the factor no longer reads
         K *= X @ _conj_matvec(Q, n1, self.w * s * y)
@@ -332,6 +340,8 @@ class _Pass:
                         break
         # the synthesis C_m L_m^{-H}'s largest column sum
         growth = np.abs(C[:m + 1, :m + 1] @ X[:m + 1, :m + 1].T.conj()).sum(0).max()
+        if tol is not None and m == degree:
+            self.memo[key] = coeffs, float(growth), sup, res
         return coeffs, float(growth), sup, res
 
 
@@ -421,6 +431,8 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
     it reached, and says when only FitReport.basis_sup met tol."""
     if tol <= 0:
         raise ConfigError("tol must be positive")
+    if max_degree < 0:
+        raise ConfigError("max_degree must be >= 0")
     top = min(max_degree, sum(len(c.points) for c in cc.components) - 1)
     ladder = [8 << k for k in range(64) if 8 << k < top] + [top]
 

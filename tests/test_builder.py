@@ -612,6 +612,28 @@ def test_counterexample_failure_does_not_depend_on_the_blas_thread_count():
     assert best1 == pytest.approx(best2, rel=1e-12)
 
 
+def test_probe_scan_setup_build_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the series the probe-scan benchmark builds, whose stage fits pass after
+    # reweighting rounds: the same degrees at 1 and 2 BLAS threads, and sups
+    # that agree far above their last bits, which differ with the thread
+    # count at stage 3 (so the payloads are not compared byte for byte)
+    src = os.path.dirname(os.path.dirname(abeluniv.__file__))
+    runs = [subprocess.Popen(
+        [sys.executable, "-m", "abeluniv.cli", "build", "membership",
+         "--targets", "[[[0.2,0]]]", "--arcs", "[[0.30,0.32],[3.60,3.62]]",
+         "--stages", "3", "--out", str(tmp_path / f"setup{t}")],
+        stdout=subprocess.DEVNULL,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=t,
+                 PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])))
+        for t in ("1", "2")]
+    assert [p.wait() for p in runs] == [0, 0]
+    one, two = (json.load(open(tmp_path / f"setup{t}.json"))["stages"] for t in ("1", "2"))
+    assert [st["fit"]["degree"] for st in one] == [3, 29, 168]
+    assert [st["fit"]["degree"] for st in two] == [3, 29, 168]
+    for a, b in zip(one, two):
+        assert a["fit"]["sup_error"] == pytest.approx(b["fit"]["sup_error"], rel=1e-9)
+
+
 # parameter-invariant stage (shift family pulled back through the center)
 
 

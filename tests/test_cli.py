@@ -214,6 +214,13 @@ def test_build_rejects_a_targets_file_that_is_not_json(tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: file {bad} does not hold JSON\n"
 
 
+def test_build_rejects_a_negative_degree_cap(tmp_path, capsys):
+    # reported by the search that reads the cap, not by the fit inside it
+    out = str(tmp_path / "neg")
+    assert main(MEMBERSHIP_ARGS[:-1] + ["-1", "--out", out]) == 1
+    assert capsys.readouterr().err == "config error: max_degree must be >= 0\n"
+
+
 def test_build_counterexample_rejects_a_center(tmp_path, capsys):
     out = str(tmp_path / "counter")
     assert main(["build", "counterexample", "--stages", "1", "--w", "0.3,0",
@@ -291,6 +298,19 @@ def test_probe_rejects_a_json_file_that_is_not_a_series(tmp_path, artifacts, cap
 def test_probe_requires_an_action(artifacts, capsys):
     assert main(["probe", "--series", artifacts["member"] + ".json"]) == 1
     assert "nothing to do" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reciprocal", [[], ["--reciprocal"]], ids=["plain", "reciprocal"])
+@pytest.mark.parametrize("density", [-3, 0, 1])
+def test_probe_scan_rejects_a_density_below_two(tmp_path, artifacts, capsys, density,
+                                                reciprocal):
+    # one check before anything is sampled, with the build's message: not a
+    # numpy traceback at -3, nor the sampler's or the certificate's at 0 and 1
+    out = str(tmp_path / "scan")
+    assert main(["probe", "--series", artifacts["member"] + ".json", "--scan",
+                 f"--density={density}", *reciprocal, "--out", out]) == 1
+    assert capsys.readouterr().err == "config error: density must be >= 2\n"
+    assert not os.path.exists(out + ".json")
 
 
 def test_probe_refuses_reciprocal_of_vanishing_series(tmp_path, artifacts,

@@ -516,17 +516,10 @@ def test_triangular_inverse_matches_lapack(n):
 
 
 def _round_gram(core, a, degree):
-    """A round's Gram matrix as reweighted forms it: s_ref I plus _gram over the rows
-    before and after the reference component's, weighted self.w * (s - s_ref), the
-    reference being the largest component and, of equal sizes, the one of least scale."""
-    s = np.repeat(a, [sl.stop - sl.start for sl in core.slices])
-    s = s / (core.w @ s)
-    ref = max(core.slices, key=lambda sl: (sl.stop - sl.start, -s[sl.start]))
-    Q, v = core.Q[:, :degree + 1], core.w * (s - s[ref.start])
-    G = _gram(Q[:ref.start], v[:ref.start])
-    G += _gram(Q[ref.stop:], v[ref.stop:])
-    G[np.diag_indices(degree + 1)] += s[ref.start]
-    return G
+    """A round's Gram matrix, formed by the code reweighted runs: s_ref I plus each
+    other component's part at scale s - s_ref, the reference being the largest
+    component and, of equal sizes, the one of least scale."""
+    return core.gram(a, degree + 1)[1]
 
 
 def _counterexample_shaped_components():
@@ -683,6 +676,18 @@ def test_fit_until_representable_target():
     assert rep.sup_error <= 1e-9
     with pytest.raises(ConfigError):
         fit_until(cc, 1e-9, -1)
+
+
+def test_fit_until_rejects_a_negative_degree_cap_before_any_fit(monkeypatch):
+    # the cap is the search's own argument: it is checked before the grid is
+    # read, not reported as a negative degree by the first fit
+    targets, _, rounds = count_passes(monkeypatch)
+    pts = circle_grid(0.75, 16)
+    for cc in (union(comp_with_values(pts, pts ** 2)),
+               union(SampledComponent("DilatedArc", pts, None))):
+        with pytest.raises(ConfigError, match="^max_degree must be >= 0$"):
+            fit_until(cc, 1e-9, -1)
+    assert targets == rounds == []
 
 
 def test_fit_until_refines_to_smallest_passing_degree():
@@ -878,3 +883,30 @@ def test_probe_scan_setup_build_pass_count(tmp_path, monkeypatch):
     assert [len(st["coeffs"]) - 1 for st in stages] == [3, 29, 168]
     assert len(targets) <= 10
     assert sum(columns) <= 240
+
+
+def test_depth_8_build_forms_each_gram_part_once_and_refits_from_its_rounds(monkeypatch):
+    # the criterion-3 depth-8 build. A round's Gram matrix scales and adds
+    # its components' parts, each built once per width, so its 85 rounds
+    # call _gram 18 times, where forming the matrix in every round took 168.
+    # The tol-free refit at each stage's degree reads the rounds its passing
+    # fit ran at that degree, which returned the full degree, so only 77 of
+    # the rounds factor a Gram matrix, where all 84 did
+    _, _, rounds = count_passes(monkeypatch)
+    calls = {"_gram": 0, "_inverse_cholesky": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(polyfit, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(polyfit, name, counted)
+    cfg = BuildConfig(RadiiSchedule.default(10), EpsilonSchedule.default(10),
+                      TargetEnumeration.cyclic(
+                          [ComplexPolynomial([0.2]), ComplexPolynomial([-0.3j])],
+                          [UnitCircleArc(0.30, 0.32), UnitCircleArc(3.60, 3.62)], 8),
+                      density=512, max_degree=512)
+    series = build_membership_series(cfg, 8)
+    monkeypatch.undo()
+    assert [s.fit.degree for s in series.stages] == [3, 29, 205]
+    assert series.failure.n == 4
+    assert calls["_gram"] <= 20
+    assert calls["_inverse_cholesky"] < min(84, len(rounds))
