@@ -70,8 +70,8 @@ class EpsilonSchedule:
         vals = tuple(float(x) for x in eps)
         if not vals:
             raise ConfigError("epsilon schedule must be nonempty")
-        if any(x <= 0 for x in vals):
-            raise ConfigError("tolerances must be positive")
+        if not all(0 < x < math.inf for x in vals):
+            raise ConfigError(f"tolerances must be positive and finite, got {vals}")
         if any(b > a for a, b in zip(vals, vals[1:])):
             raise ConfigError("tolerances must be nonincreasing")
         if sum(vals) > 0.5 + 1e-12:
@@ -227,7 +227,7 @@ def compute_witness(phi: DiscAutomorphism, zeta1: complex, zeta2: complex,
     if abs(phi.a) <= 1e-14:
         raise ConfigError("witness needs a non-rotation automorphism (a != 0)")
     for name, z in (("zeta1", zeta1), ("zeta2", zeta2)):
-        if abs(abs(z) - 1.0) > 1e-12:
+        if not (abs(abs(z) - 1.0) <= 1e-12):
             raise ConfigError(f"{name} must lie on the unit circle")
     c1 = (phi.a.conjugate() * zeta1).real
     c2 = (phi.a.conjugate() * zeta2).real

@@ -62,13 +62,15 @@ def _parse_path(text: str) -> list:
 
 
 def _load_json(path: str):
-    if not os.path.exists(path):
-        raise ConfigError(f"file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except ValueError:   # JSONDecodeError, or bytes that are not UTF-8
-            raise ConfigError(f"file {path} does not hold JSON") from None
+    except FileNotFoundError:
+        raise ConfigError(f"file not found: {path}") from None
+    except OSError as exc:   # a directory, or a file we may not read
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError:   # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"file {path} does not hold JSON") from None
 
 
 def _json_spec(spec, default, what, shape, read):
@@ -95,6 +97,13 @@ def _dump_json(payload: dict) -> str:
 
 def _open(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _check_out_dir(prefix) -> None:
+    """Refuse an --out prefix whose directory is missing before any work runs."""
+    folder = os.path.dirname(prefix or "") or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"--out directory {folder} does not exist")
 
 
 def _write(path: str, text: str) -> None:
@@ -384,9 +393,10 @@ def cmd_lift(args) -> int:
     if args.liftable:
         if args.arc is None or args.eps is None:
             raise ConfigError("--liftable needs --arc and --eps")
-        lo, hi = (_parse_floats(args.arc) + [None, None])[:2]
-        if lo is None or hi is None:
+        ends = _parse_floats(args.arc)
+        if len(ends) != 2:
             raise ConfigError("--arc wants 'alpha,beta'")
+        lo, hi = ends
         arc = geometry.UnitCircleArc(lo, hi)
         target = _parse_complex(args.target) if args.target else 0j
         config.update({"mode": "liftable", "arc": [lo, hi], "eps": args.eps,
@@ -495,6 +505,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out_dir(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Unit-disc Moebius geometry: automorphisms, circle images, level solvers.
 
-Everything here is exact-formula work plus a couple of one-dimensional
-bisection solvers. The automorphism convention is
+Everything here is exact formulas, the witness level radii and the
+radial monotone threshold included. The automorphism convention is
 
     phi(z) = e^{i theta} (a - z) / (1 - conj(a) z),    |a| < 1,
 
@@ -129,62 +129,50 @@ def modulus_identity_residual(a: complex, z) -> float:
     return float(np.max(np.abs(left - right)))
 
 
-def _tail_slope(a: complex, zeta: complex, r: float) -> float:
-    # Sign of d/dr of (1-r^2)/(|a|^2 r^2 - 2 r Re(conj(a) zeta) + 1), whose
-    # numerator reduces to 2(c r^2 - (1+m) r + c) with c = Re(conj(a) zeta),
-    # m = |a|^2. The modulus |phi(r zeta)| is nondecreasing exactly where
-    # this is <= 0.
-    c = (a.conjugate() * zeta).real
-    m = abs(a) ** 2
-    return c * r * r - (1.0 + m) * r + c
-
-
 def radial_monotone_threshold(phi: DiscAutomorphism, zeta: complex) -> float:
-    """Smallest r0 in [0, 1) with r -> |phi(r zeta)| nondecreasing on (r0, 1)."""
-    if abs(abs(zeta) - 1.0) > 1e-12:
+    """Smallest r0 in [0, 1) with r -> |phi(r zeta)| nondecreasing on (r0, 1).
+
+    By the modulus identity, d/dr |phi(r zeta)| has the sign of
+    -(c r^2 - (1+m) r + c), c = Re(conj(a) zeta), m = |a|^2. For c <= 0 that
+    is negative on (0, 1); otherwise r0 is the smaller root, whose
+    discriminant (1+m)^2 - 4c^2 factors as |zeta - a|^2 |zeta + a|^2.
+    """
+    if not (abs(abs(zeta) - 1.0) <= 1e-12):
         raise ConfigError(f"zeta must lie on the unit circle, |zeta|={abs(zeta)}")
     a = phi.a
-    if _tail_slope(a, zeta, 0.0) <= 0.0:
+    c = (a.conjugate() * zeta).real
+    if c <= 0.0:
         return 0.0
-    # Exactly one sign change in (0, 1): the slope is positive at 0 and
-    # strictly negative at 1 (its value there is -|zeta - a|^2 / ... < 0).
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if _tail_slope(a, zeta, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 2.0 * c / (1.0 + abs(a) ** 2 + abs(zeta - a) * abs(zeta + a))
 
 
 def solve_level_radius(phi: DiscAutomorphism, zeta: complex, t: float, r_low: float) -> float:
-    """R >= r_low with |phi(R zeta)| = t, using the monotone tail."""
+    """R >= r_low with |phi(R zeta)| = t, using the monotone tail.
+
+    |phi(R zeta)| = t is (1 - t^2 m) R^2 - 2 c (1 - t^2) R + (m - t^2) = 0
+    with c, m as in radial_monotone_threshold. On |zeta| = 1 its
+    discriminant is p^2 - q^2 with p = t(1 - m), q = |Im(conj(a) zeta)|(1 - t^2).
+    R is the larger root, in the form without cancellation, clamped to r_low.
+    """
     if not (0.0 <= t < 1.0):
         raise ConfigError(f"level must be in [0, 1), got {t}")
+    if not (0.0 <= r_low < 1.0):
+        raise ConfigError(f"r_low must be finite and in [0, 1), got {r_low}")
     thresh = radial_monotone_threshold(phi, zeta)
     if r_low < thresh - 1e-9:
         raise ConfigError(f"r_low={r_low} is below the monotone threshold {thresh}")
-
-    def level(r):
-        return abs(apply_automorphism(phi, r * zeta))
-
-    f_low = level(r_low)
+    f_low = abs(apply_automorphism(phi, r_low * zeta))
     if t < f_low - 1e-12:
         raise ConfigError(f"target level {t} below attainable range (starts at {f_low})")
-    lo, hi = r_low, 1.0
-    mid = 0.5 * (lo + hi)
-    # under 56 halvings; fewer where lo and hi become adjacent floats, which no halving moves
-    while lo < mid < hi and hi - lo >= 5e-17:
-        if level(mid) < t:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    if abs(level(mid) - t) > 1e-12:
-        raise InvariantViolation(
-            f"level solve stalled: |phi({mid} zeta)| = {level(mid)} vs target {t}")
-    return mid
+    a = phi.a
+    w, m, tt = a.conjugate() * zeta, abs(a) ** 2, t * t
+    b, p, q = w.real * (1.0 - tt), t * (1.0 - m), abs(w.imag) * (1.0 - tt)
+    root = math.sqrt(max((p - q) * (p + q), 0.0))
+    R = max((b + root) / (1.0 - tt * m) if b >= 0.0 else (m - tt) / (b - root), r_low)
+    level = abs(apply_automorphism(phi, R * zeta))
+    if abs(level - t) > 1e-12:
+        raise InvariantViolation(f"level solve missed: |phi({R} zeta)| = {level} vs target {t}")
+    return R
 
 
 def image_circle(a: complex, R: float) -> EuclideanCircle:

@@ -429,8 +429,8 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
     raises with the best attempt, the (degree, sup) history of the targets
     and the lower bound ||r_m||_w of the base pass at the highest degree m
     it reached, and says when only FitReport.basis_sup met tol."""
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
+    if not (0 < tol < math.inf):
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
     if max_degree < 0:
         raise ConfigError("max_degree must be >= 0")
     top = min(max_degree, sum(len(c.points) for c in cc.components) - 1)

@@ -23,6 +23,7 @@ import os
 import numpy as np
 import pytest
 
+from abeluniv import cli
 from abeluniv.cli import main
 
 
@@ -212,6 +213,47 @@ def test_build_rejects_a_targets_file_that_is_not_json(tmp_path, capsys):
     bad.write_text("[[bogus")
     assert main(["build", "membership", "--targets", str(bad), "--stages", "1"]) == 1
     assert capsys.readouterr().err == f"config error: file {bad} does not hold JSON\n"
+
+
+def test_build_rejects_non_finite_tolerances(tmp_path, capsys):
+    # NaN passes no comparison, so only a finiteness check stops it before the ladder
+    out = str(tmp_path / "nan")
+    assert main(["build", "membership", "--stages", "4", "--eps", ",".join(["nan"] * 6),
+                 "--out", out]) == 1
+    assert "tolerances must be positive and finite" in capsys.readouterr().err
+    assert not os.path.exists(out + ".json")
+
+
+def test_build_counterexample_rejects_a_non_finite_direction(tmp_path, capsys):
+    assert main(["build", "counterexample", "--zeta1", "nan", "--stages", "1",
+                 "--out", str(tmp_path / "nan")]) == 1
+    assert capsys.readouterr().err == "config error: zeta1 must lie on the unit circle\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "membership", "--stages", "1", "--targets", "{dir}"],
+    ["probe", "--scan", "--series", "{dir}"]], ids=["targets", "series"])
+def test_a_directory_given_as_an_input_file_is_a_config_error(tmp_path, capsys, argv):
+    argv = [x.format(dir=tmp_path) for x in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot read {tmp_path}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometry", "--samples", "10"], ["build", "membership", "--stages", "1"],
+    ["probe", "--scan", "--series", "missing.json"],
+    ["lift", "--g", "square", "--path", "1,0:4,0", "--start", "1,0"]],
+    ids=["geometry", "build", "probe", "lift"])
+def test_a_missing_out_directory_fails_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+    monkeypatch.setattr(cli.geometry, "modulus_identity_residual", no_work)
+    monkeypatch.setattr(cli.builder, "build_membership_series", no_work)
+    monkeypatch.setattr(cli, "_load_json", no_work)
+    monkeypatch.setattr(cli.probe, "lift_path", no_work)
+    missing = tmp_path / "missing"
+    assert main(argv + ["--out", str(missing / "x")]) == 1
+    assert capsys.readouterr().err == f"config error: --out directory {missing} does not exist\n"
 
 
 def test_build_rejects_a_negative_degree_cap(tmp_path, capsys):
@@ -429,6 +471,15 @@ def test_lift_liftable_rejects_non_finite_eps(tmp_path, capsys, eps):
     assert main(["lift", "--liftable", "--g", "exp", "--arc", "0,1.5708",
                  "--eps", eps, "--target", "2,0", "--out", out]) == 1
     assert "eps must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out + ".json")
+
+
+@pytest.mark.parametrize("arc", ["0", "0,1,2"])
+def test_lift_liftable_wants_exactly_two_arc_ends(tmp_path, capsys, arc):
+    out = str(tmp_path / "bad")
+    assert main(["lift", "--liftable", "--g", "exp", "--arc", arc,
+                 "--eps", "0.01", "--out", out]) == 1
+    assert capsys.readouterr().err == "config error: --arc wants 'alpha,beta'\n"
     assert not os.path.exists(out + ".json")
 
 

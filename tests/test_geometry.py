@@ -8,6 +8,7 @@ package code was written, and are asserted as exact-to-tolerance constants.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -141,43 +142,41 @@ def test_solve_level_against_brentq():
             assert abs(got - ref) < 1e-10
 
 
-def _bisect_200(phi, zeta, t, r_low):
-    # reference: 200 halvings, stopping early only once the bracket is under 5e-17
-    lo, hi, best = r_low, 1.0, r_low
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if abs(apply_automorphism(phi, mid * zeta)) < t:
-            lo = mid
-        else:
-            hi = mid
-        best = 0.5 * (lo + hi)
-        if hi - lo < 5e-17:
-            break
-    return best
-
-
-def test_solve_level_stops_at_adjacent_floats_on_the_same_radius(monkeypatch):
-    # above 0.5 the bracket reaches adjacent floats after about 52 halvings
-    # and never gets under 5e-17; the solve stops there, since later halvings
-    # move neither end, and must return the bits of the 200-halving loop
+def test_closed_form_solves_match_a_50_digit_reference(monkeypatch):
+    # seeded |a| <= 0.7 and levels t >= |phi(r0 zeta)| + 1e-6, against the
+    # 50-digit roots of the same quadratics for the float inputs as given;
+    # each level solve evaluates phi at most three times
     calls = []
     real = geometry.apply_automorphism
     monkeypatch.setattr(geometry, "apply_automorphism",
                         lambda phi, z: calls.append(z) or real(phi, z))
-    solved = 0
-    for a in (0.5, 0.4 - 0.1j, 0.5j):
-        phi = DiscAutomorphism(a, 0.0)
-        for zeta in (1.0 + 0j, 1j, cmath.exp(2.1j)):
+    rng = np.random.default_rng(20261020)
+    worst = {"threshold": 0.0, "radius": 0.0, "level": 0.0}
+    with mpmath.workdps(50):
+        for _ in range(2000):
+            a = 0.7 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            zeta = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            A, Z = mpmath.mpc(a.real, a.imag), mpmath.mpc(zeta.real, zeta.imag)
+            c, m = mpmath.re(mpmath.conj(A) * Z), abs(A) ** 2
+            ref0 = ((1 + m) - mpmath.sqrt((1 + m) ** 2 - 4 * c * c)) / (2 * c) if c > 0 else 0
+            start = abs((A - ref0 * Z) / (1 - mpmath.conj(A) * ref0 * Z))
+            t = float(rng.uniform(float(start) + 1e-6, 1.0))
+            # larger root of |a - R zeta|^2 = t^2 |1 - conj(a) R zeta|^2
+            T = mpmath.mpf(t)
+            qa, qb, qc = abs(Z) ** 2 * (1 - T * T * m), c * (1 - T * T), m - T * T
+            ref = (qb + mpmath.sqrt(qb * qb - qa * qc)) / qa
+
+            phi = DiscAutomorphism(a, 0.0)
             r0 = radial_monotone_threshold(phi, zeta)
-            for t in (0.6, 0.9, 0.97, 0.999):
-                if t < abs(real(phi, r0 * zeta)):
-                    continue
-                calls.clear()
-                got = solve_level_radius(phi, zeta, t, r0)
-                assert len(calls) <= 64, (a, zeta, t)
-                assert got == _bisect_200(phi, zeta, t, r0), (a, zeta, t)
-                solved += 1
-    assert solved >= 24
+            calls.clear()
+            R = solve_level_radius(phi, zeta, t, r0)
+            assert len(calls) <= 3
+            for key, err in (("threshold", abs(r0 - ref0)), ("radius", abs(R - ref)),
+                             ("level", abs(abs(real(phi, R * zeta)) - t))):
+                worst[key] = max(worst[key], float(err))
+    assert worst["threshold"] <= 2e-15, worst
+    assert worst["radius"] <= 2e-14, worst
+    assert worst["level"] <= 4e-15, worst
 
 
 def test_threshold_closed_form():
@@ -196,6 +195,18 @@ def test_threshold_monotone_beyond():
         rs = np.linspace(r0 + 1e-9, 1 - 1e-9, 200)
         mods = np.abs(apply_automorphism(phi, rs * zeta))
         assert np.all(np.diff(mods) >= -1e-12)
+
+
+def test_threshold_rejects_a_direction_off_the_circle():
+    for zeta in (complex(math.nan, 0.0), complex(0.0, math.inf), 0.5 + 0j):
+        with pytest.raises(ConfigError, match="unit circle"):
+            radial_monotone_threshold(DiscAutomorphism(0.5, 0.0), zeta)
+
+
+@pytest.mark.parametrize("r_low", [math.nan, math.inf, -0.1, 1.0])
+def test_solve_level_rejects_r_low_outside_the_unit_interval(r_low):
+    with pytest.raises(ConfigError, match="r_low"):
+        solve_level_radius(DiscAutomorphism(0.5, 0.0), 1j, 0.9, r_low)
 
 
 # -------------------------------------------------------------------- circles

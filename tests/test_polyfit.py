@@ -690,6 +690,16 @@ def test_fit_until_rejects_a_negative_degree_cap_before_any_fit(monkeypatch):
     assert targets == rounds == []
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+def test_fit_until_rejects_a_tol_that_is_not_finite_and_positive(monkeypatch, tol):
+    # a NaN tol fails every comparison, so only a finiteness check stops it
+    targets, _, rounds = count_passes(monkeypatch)
+    pts = circle_grid(0.75, 16)
+    with pytest.raises(ConfigError, match="^tol must be positive and finite"):
+        fit_until(union(comp_with_values(pts, pts ** 2)), tol, 16)
+    assert targets == rounds == []
+
+
 def test_fit_until_refines_to_smallest_passing_degree():
     # degree-3 target: first passing rung is 8, refinement must come back down
     p = ComplexPolynomial([0.3, 0.0, 0.0, 1.0])
