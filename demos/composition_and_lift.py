@@ -51,7 +51,7 @@ print(f"\nsqrt lift: endpoint {res.values[-1]:.10f}, defect {res.max_defect:.1e}
 res = lift_path("exp", [1, math.e], 0, 1e-10)
 print(f"log lift: endpoint {res.values[-1]:.10f}")
 
-# a path into the critical value stalls and says so
+# a path into the critical value stalls at the step floor and says so
 res = lift_path(ComplexPolynomial([0, 0, 1]), [1, -1], 1, 1e-8)
 print(f"path into the branch point: status {res.status.kind} "
       f"at |h| = {abs(res.values[-1]):.3f}")

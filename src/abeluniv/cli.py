@@ -6,9 +6,10 @@ a fixed config and seed: payload files carry no clocks (wall time lives in
 a .meta.json sidecar), floats print in shortest round-trip form, JSON keys
 are sorted.
 
-Exit codes: 0 ok, 1 bad config, 2 a checked invariant failed, 3 a build or
-continuation stopped partway (partial output still written), 4 a
-reciprocal certificate was refused.
+Exit codes: 0 ok, 1 bad config, 2 a checked invariant failed or a lift
+reached a critical point, 3 a build or continuation stopped partway
+(partial output still written), 4 a reciprocal certificate was refused, 5
+a lift stopped at its minimum step away from any critical point.
 """
 
 from __future__ import annotations
@@ -428,11 +429,7 @@ def cmd_lift(args) -> int:
     end = result.endpoint
     print(f"status {result.status.kind} endpoint {end.real!r},{end.imag!r} "
           f"max_defect {result.max_defect!r}")
-    if result.status.kind == "critical-point":
-        return 2
-    if result.status.kind == "diverged":
-        return 3
-    return 0
+    return {"critical-point": 2, "diverged": 3, "step-floor": 5}.get(result.status.kind, 0)
 
 
 # wiring

@@ -11,11 +11,11 @@ dominates, that shows up honestly as a plateau, not as a fake success.
 
 One Arnoldi pass (_Pass) serves every fit of a degree search (fit_until):
 each higher target grows its columns, each lower target and the final
-refit read them. Rounds 2-8 of a fit reweight those columns by a Cholesky
-factorization of their weighted Gram matrix, summed from per-component
-parts built once per width (_Pass.gram), and run only where the pass's
-weighted-L2 residual, a lower bound on every sup at that degree, lets tol
-be met. The final refit reads the rounds its passing fit already ran.
+refit read them, and start their rounds from the scales that won the fit
+above. Reweighting rounds refit those columns by a Cholesky factorization
+of their weighted Gram matrix, summed from per-component parts built once
+per width (_Pass.gram), while the round's weighted-L2 residual, a lower
+bound on every sup at that degree, lets tol be met.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class FitReport:
     Q.d, before monomial synthesis, over the reweighting rounds run: where
     it sits far below sup_error, synthesis noise dominates the returned
     vector. It is nan when not measured (a report read back from a series
-    payload, which does not store it).
+    payload, which does not store it); scales, the winning round's component
+    weight scales, is None there and where the base weights won.
     """
 
     degree: int
@@ -72,6 +73,7 @@ class FitReport:
     basis_condition: float
     escalations: int
     basis_sup: float = math.nan
+    scales: Optional[tuple] = None
 
 
 def evaluate(p: ComplexPolynomial, z):
@@ -179,19 +181,21 @@ class _Pass:
     Math. Comp. 1976), and fallbacks lists its first column. Q and C are
     column-major, so a prefix of Q is contiguous whatever the width.
 
-    fit(degree, tol) returns the bits of a fresh pass to degree, which stops
-    at m = degree, or with tol given at the first m where max|r| of the
-    orthogonal fit (sups[m]) and the synthesized polynomial's own residual
-    both meet tol; Q, C, sups and lows end at that m. lows[m] is ||r_m||_w^2
-    of the same running residual: as w sums to 1, its root bounds from below
-    max|y - p| on the grid for every p of degree <= m. Only whole blocks are
-    built, so no column depends on the degree asked, and a breakdown past it
-    is raised by the fit that reaches it. A degree in hand is read from the
-    columns; a higher one copies them into arrays as wide as its block, the
-    shapes of a fresh pass. All fits with tol on one pass give the same tol.
+    fit(degree, tol) returns a round (coefficients, None, sups[m], |p(z) - y|
+    or None on overflow, lows[m]) with the bits of a fresh pass to degree,
+    which stops at m = degree, or with tol given at the first m where max|r|
+    of the orthogonal fit (sups[m]) and the synthesized polynomial's own
+    residual both meet tol; Q, C, sups and lows end at that m. lows[m] is
+    ||r_m||_w^2 of the same running residual: as w sums to 1, its root bounds
+    from below max|y - p| on the grid for every p of degree <= m. Only whole
+    blocks are built, so no column depends on the degree asked, and a
+    breakdown past it is raised by the fit that reaches it. A degree in hand
+    is read from the columns; a higher one copies them into arrays as wide as
+    its block, the shapes of a fresh pass. All fits with tol on one pass give
+    the same tol.
     A BasisBreakdown leaves the pass as it was, as does reweighted(a, degree,
     tol), fit at weights w times a[c] on the rows of component c (slices),
-    but for the Gram parts and rounds it keeps."""
+    but for the columns it builds and the Gram parts it keeps."""
 
     def __init__(self, z: np.ndarray, y: np.ndarray, w: np.ndarray, slices=None):
         self.z, self.y, self.w, self.wy, self.sw = z, y, w, w * y, np.sqrt(w)
@@ -200,7 +204,7 @@ class _Pass:
         self.cols = (np.zeros((len(z), 0), complex, "F"), np.zeros((0, 0), complex, "F"),
                      np.zeros(0), np.zeros(0), y.copy(), None, [])
         self.top, self.met = -1, False   # the column the last fit stopped at; tol met there
-        self.parts, self.memo = {}, {}   # gram's (width, part) per component; rounds kept
+        self.parts = {}   # gram's (width, part) per component
 
     Q = property(lambda self: self.cols[0][:, :self.top + 1])
     C = property(lambda self: self.cols[1][:self.top + 1, :self.top + 1])
@@ -208,14 +212,16 @@ class _Pass:
     lows = property(lambda self: self.cols[3][:self.top + 1])
     fallbacks = property(lambda self: self.cols[6])
 
-    def _at(self, Q: np.ndarray, C: np.ndarray, sups: np.ndarray, m: int):
-        """(monomial coefficients, max synthesis column growth, max|r|,
-        |p(z) - y|) at degree m from columns 0..m, the last None when
-        synthesis overflowed."""
-        Cm = C[:m + 1, :m + 1]
-        coeffs = Cm @ _conj_matvec(Q, m + 1, self.wy)
-        return (coeffs, float(np.max(np.sum(np.abs(Cm), axis=0))), float(sups[m]),
-                self._residual(coeffs))
+    def _at(self, Q: np.ndarray, C: np.ndarray, sups: np.ndarray, lows: np.ndarray, m: int):
+        """fit's round at degree m from columns 0..m."""
+        coeffs = C[:m + 1, :m + 1] @ _conj_matvec(Q, m + 1, self.wy)
+        return coeffs, None, float(sups[m]), self._residual(coeffs), float(lows[m])
+
+    def growth(self, X: Optional[np.ndarray], m: int) -> float:
+        """Largest column sum of a degree-m round's synthesis C_m L_m^{-H} (X = L^{-1}, None: I)."""
+        S = self.C[:m + 1, :m + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.abs(S if X is None else S @ X[:m + 1, :m + 1].T.conj()).sum(0).max())
 
     def _residual(self, coeffs: np.ndarray) -> Optional[np.ndarray]:
         if np.all(np.isfinite(coeffs.view(float))):
@@ -260,7 +266,7 @@ class _Pass:
 
     def fit(self, degree: int, tol: Optional[float] = None):
         if degree <= self.top or (self.met and tol is not None):
-            return self._at(*self.cols[:3], min(degree, self.top))
+            return self._at(*self.cols[:4], min(degree, self.top))
         Q, C, sups, lows, r, broken, fallbacks = self.cols
         for m in range(self.top + 1, degree + 1):
             if m == len(sups) and broken is None:   # m starts a block: build it
@@ -283,7 +289,7 @@ class _Pass:
                     f"orthogonalization norm underflow at column {m}; degenerate grid")
             met = tol is not None and sups[m] <= tol
             if m == degree or met:
-                fit = self._at(Q, C, sups, m)
+                fit = self._at(Q, C, sups, lows, m)
                 met = met and fit[3] is not None and float(fit[3].max()) <= tol
                 if m == degree or met:
                     self.cols = (Q, C, sups, lows, r, broken, fallbacks)
@@ -308,41 +314,38 @@ class _Pass:
         return s, G
 
     def reweighted(self, a: np.ndarray, degree: int, tol: Optional[float] = None):
-        """fit's tuple at weights w = self.w times a[c] on component c, summing to 1, from
-        columns 0..degree in hand (CholeskyQR, Yamamoto et al., ETNA 2015): with Q those columns
-        and Q^H diag(w) Q = L L^H (gram), every prefix of Q L^{-H} is w-orthonormal, and
-        d = L^{-1} Q^H w y. That costs about spread^1.5 * eps of max|y|, spread that of a (1e-10
-        at 1e4), so past _SPREAD it raises BasisBreakdown. Column m of K = cumsum(L^{-H} d) is the
-        fit at degree m; max|r_m| on the _BLOCK rows of largest |r_degree| bounds it below, and
-        only an m where that bound meets tol is measured on all rows. self.memo keeps each round
-        with tol that returns m = degree: a round without tol computes that tuple, so reads it."""
-        key = (degree, a.tobytes())
-        if tol is None and key in self.memo:
-            return self.memo[key]
+        """fit's round at weights w = self.w times a[c] on component c, summing to 1, from
+        columns 0..degree, which fit builds first where they are not in hand (CholeskyQR,
+        Yamamoto et al., ETNA 2015): with Q those columns and Q^H diag(w) Q = L L^H (gram),
+        every prefix of Q L^{-H} is w-orthonormal, and d = L^{-1} Q^H w y. That costs about
+        spread^1.5 * eps of max|y|, spread that of a (1e-10 at 1e4), so past _SPREAD it raises
+        BasisBreakdown. Column m of K = cumsum(L^{-H} d) is the fit at degree m; max|r_m| on the
+        _BLOCK rows of largest |r_degree| bounds it below, and only an m where that bound meets
+        tol is measured on all rows. The round's second entry is X = L^{-1}, from which
+        growth(X, m) gives its synthesis growth, and its last ||r_m||_w^2 at its own weights."""
         if not a.max() <= _SPREAD * a.min():
             raise BasisBreakdown(f"reweighting weights spread past {_SPREAD:.0e}")
+        if degree > self.top:
+            self.fit(degree)
         n1, y, Q = degree + 1, self.y, self.Q[:, :degree + 1]
         s, G = self.gram(a, n1)
-        X, C = _inverse_cholesky(G), self.C[:n1, :n1]
+        X, C, ws = _inverse_cholesky(G), self.C[:n1, :n1], self.w * s
         K = np.conjugate(X.T, out=G)   # in G's array, which the factor no longer reads
-        K *= X @ _conj_matvec(Q, n1, self.w * s * y)
+        K *= X @ _conj_matvec(Q, n1, ws * y)
         np.cumsum(K, axis=1, out=K)
         r = np.abs(y - Q @ K[:, degree])
         rows = np.argsort(r)[-_BLOCK:]
-        low = np.abs(y[rows, None] - Q[rows] @ K).max(axis=0) if tol is not None else None
+        bound = np.abs(y[rows, None] - Q[rows] @ K).max(axis=0) if tol is not None else None
         for m in range(n1):
-            if m == degree or tol is not None and low[m] <= tol:
-                sup = float(r.max() if m == degree else np.abs(y - Q @ K[:, m]).max())
+            if m == degree or tol is not None and bound[m] <= tol:
+                rm = r if m == degree else np.abs(y - Q @ K[:, m])
+                sup = float(rm.max())
                 if m == degree or sup <= tol:
                     coeffs = C[:m + 1, :m + 1] @ K[:m + 1, m]
                     res = self._residual(coeffs)
                     if m == degree or (res is not None and float(res.max()) <= tol):
                         break
-        # the synthesis C_m L_m^{-H}'s largest column sum
-        growth = np.abs(C[:m + 1, :m + 1] @ X[:m + 1, :m + 1].T.conj()).sum(0).max()
-        if tol is not None and m == degree:
-            self.memo[key] = coeffs, float(growth), sup, res
-        return coeffs, float(growth), sup, res
+        return coeffs, X, sup, res, float(ws @ rm ** 2)
 
 
 def _base_pass(cc: CompoundCompactum) -> _Pass:
@@ -357,63 +360,66 @@ def _base_pass(cc: CompoundCompactum) -> _Pass:
 
 
 def fit_polynomial(cc: CompoundCompactum, degree: int, *, tol: Optional[float] = None,
-                   base: Optional[_Pass] = None) -> Tuple[ComplexPolynomial, FitReport]:
+                   base: Optional[_Pass] = None, start: Optional[tuple] = None
+                   ) -> Tuple[ComplexPolynomial, FitReport]:
     """Weighted least-squares fit of all component targets at the given degree.
 
     Up to 8 rounds multiply each component's weight by its share of the sup
     residual (floored at 1e-4) to push the l2 fit toward the sup-norm
     target; the round with the smallest measured sup residual wins, and the
-    loop stops as soon as a round fails to improve or breaks down. The
-    report's basis_sup is the lowest synthesis-free residual over the rounds
-    run; it does not steer the reweighting. Round 1 fits on the base-weight
-    pass base, _base_pass(cc) unless given (fit_until's fits share one, and
-    sharing changes no result), and later rounds reweight its columns. With
-    tol given, a round may stop below degree, and the first round whose fit
-    meets tol wins; where round 1 misses tol and the pass's ||r_degree||_w
-    exceeds it, no polynomial of that degree can meet tol, and no further
-    round runs."""
+    loop stops at a round that breaks down or gains at most 1e-6 relative.
+    basis_sup is the lowest synthesis-free residual over the rounds; it does
+    not steer them. Round 1 fits on the base-weight pass base, _base_pass(cc)
+    unless given (sharing one changes no result), or reweights its columns at
+    the scales start (a FitReport's scales) unless they spread past _SPREAD.
+    With tol given, a round may stop below degree, and the first round whose
+    fit meets tol wins; a round that misses tol with its own ||r_degree||, at
+    weights summing to 1, above it proves no polynomial of that degree meets
+    it, and ends the rounds."""
     if degree < 0:
         raise ConfigError("degree must be >= 0")
     base = base or _base_pass(cc)
     if len(base.z) < degree + 1:
         raise UnderdeterminedFit(f"{len(base.z)} samples cannot determine degree {degree}")
 
-    best, basis_sup, scale = None, math.inf, np.ones(len(cc.components))
-    for k in range(8):
+    best, basis_sup = None, math.inf
+    scale = None if start is None else np.array(start, dtype=float)
+    for _ in range(8):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            if k == 0:
-                coeffs, growth, round_basis_sup, res = base.fit(degree, tol)
-            else:   # round 1 ran the base pass to degree, or met tol and ended the loop
+            if scale is not None:
                 try:
-                    coeffs, growth, round_basis_sup, res = base.reweighted(scale, degree, tol)
+                    coeffs, X, round_basis_sup, res, low = base.reweighted(scale, degree, tol)
                 except BasisBreakdown:   # keep the best round, as after an overflow
-                    break
+                    if best is not None:
+                        break
+                    scale = None
+            if scale is None:   # round 1 only: later rounds reweight its pass to degree
+                coeffs, X, round_basis_sup, res, low = base.fit(degree, tol)
         basis_sup = min(basis_sup, round_basis_sup)
-        if res is None or not math.isfinite(growth):
+        if res is None:
             # monomial synthesis overflowed: the orthogonal fit exists but
             # cannot be carried back to coefficient form at this degree
             if best is None:
-                raise BasisBreakdown(
-                    f"monomial synthesis overflow at degree {degree}")
+                raise BasisBreakdown(f"monomial synthesis overflow at degree {degree}")
             break
         poly = ComplexPolynomial(coeffs)
         comp_sup = np.array([float(res[sl].max()) for sl in base.slices])
         sup = float(comp_sup.max())
-        if best is None or sup < best[0]:
-            with np.errstate(over="ignore"):
-                rms = float(np.sqrt(np.mean(res ** 2)))
-            if math.isinf(rms) and sup < math.inf:   # res ** 2 overflowed
-                rms = sup * float(np.sqrt(np.mean((res / sup) ** 2)))
-            best = (sup, rms, growth, poly)
-        else:
+        if best is not None and sup >= best[0]:
             break
-        if sup == 0.0 or tol is not None and (
-                sup <= tol or k == 0 and base.lows[degree] > tol * tol):
+        gained = best is None or sup < best[0] * (1 - 1e-6)
+        with np.errstate(over="ignore"):
+            rms = float(np.sqrt(np.mean(res ** 2)))
+        if math.isinf(rms) and sup < math.inf:   # res ** 2 overflowed
+            rms = sup * float(np.sqrt(np.mean((res / sup) ** 2)))
+        best = (sup, rms, X, poly, scale)
+        if not gained or sup == 0.0 or tol is not None and (sup <= tol or low > tol * tol):
             break
-        scale = scale * np.maximum(comp_sup / sup, 1e-4)
+        scale = (1.0 if scale is None else scale) * np.maximum(comp_sup / sup, 1e-4)
 
-    sup, rms, growth, poly = best
-    return poly, FitReport(poly.degree, sup, rms, growth, 0, basis_sup)
+    sup, rms, X, poly, scale = best
+    return poly, FitReport(poly.degree, sup, rms, base.growth(X, poly.degree), 0, basis_sup,
+                           None if scale is None else tuple(scale.tolist()))
 
 
 def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
@@ -423,7 +429,8 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
     The target degree doubles from 8 (capped at max_degree and the sample
     count) until a pass meets tol at some degree m; escalations counts the
     doublings. The target then steps to m - 1 while a fit there still meets
-    tol somewhere. The result is fit_polynomial at the last passing degree,
+    tol somewhere, each fit starting from the scales that won the one above.
+    The result is fit_polynomial at the last passing degree, started so too,
     or the passing fit in hand should that refit miss tol, so sup_error is
     always <= tol and measured on the returned vector. Otherwise the call
     raises with the best attempt, the (degree, sup) history of the targets
@@ -453,11 +460,12 @@ def fit_until(cc: CompoundCompactum, tol: float, max_degree: int = 512
             # refit plainly at the last passing degree
             try:
                 while rep.degree > 0:
-                    lower = fit_polynomial(cc, rep.degree - 1, tol=tol, base=base)
+                    lower = fit_polynomial(cc, rep.degree - 1, tol=tol, base=base,
+                                           start=rep.scales)
                     if lower[1].sup_error > tol:
                         break
                     poly, rep = lower
-                final = fit_polynomial(cc, rep.degree, base=base)
+                final = fit_polynomial(cc, rep.degree, base=base, start=rep.scales)
                 if final[1].sup_error <= tol:
                     poly, rep = final
             except BasisBreakdown:

@@ -197,7 +197,7 @@ def universality_scan(f, targets: Sequence, arcs: Sequence[UnitCircleArc],
 
 @dataclass(frozen=True)
 class LiftStatus:
-    kind: str            # "complete" | "critical-point" | "diverged"
+    kind: str            # "complete" | "critical-point" | "step-floor" | "diverged"
     index: int = -1      # sample index where continuation stopped
 
     @property
@@ -273,6 +273,7 @@ def _damped_newton(gf, dg, h0: complex, w: complex, tol: float
 
 
 _REJECTED = (None, None, None)
+_FLAT = 1e-8   # |g'(h)| under which no step is taken: h is at a critical point
 
 
 def _advance(gf, dg, h: complex, w_cur: complex, w_next: complex,
@@ -284,7 +285,7 @@ def _advance(gf, dg, h: complex, w_cur: complex, w_next: complex,
     None as well when the derivative is too small, the corrector fails or
     the step leaves the predictor's locality."""
     d = dg(h)
-    if abs(d) < 1e-8:
+    if abs(d) < _FLAT:
         return _REJECTED
     h_pred = h + (w_next - w_cur) / d
     if not (math.isfinite(h_pred.real) and math.isfinite(h_pred.imag)):
@@ -306,7 +307,7 @@ def _march_segment(gf, dg, h: complex, w_a: complex, w_b: complex,
                    tol: float, min_step: float,
                    record) -> Tuple[complex, Optional[str]]:
     """March from w_a to w_b; returns the last accepted h and None, or the
-    stop status ("critical-point" or "diverged") where it gave up."""
+    stop status ("critical-point", "step-floor" or "diverged") where it gave up."""
     length = abs(w_b - w_a)
     if length == 0:
         return h, None
@@ -334,7 +335,7 @@ def _march_segment(gf, dg, h: complex, w_a: complex, w_b: complex,
             if abs(h) > 1e6:
                 return h, "diverged"
         elif step <= min_step:
-            return h, "critical-point"
+            return h, "critical-point" if abs(dg(h)) < _FLAT else "step-floor"
         # an accepted step may shrink too, so both branches keep the step
         # within [min_step, init]
         step = max(min(step * factor, init), min_step)
@@ -343,9 +344,9 @@ def _march_segment(gf, dg, h: complex, w_a: complex, w_b: complex,
 
 def lift_path(g, path: Sequence[complex], start: complex, tol: float) -> LiftResult:
     """Continue the branch h of g^{-1} with g(start) = path[0] along the
-    polyline. Stops with a critical-point status when no acceptable step
-    above the minimum (1e-6 of the path length) exists, and with a
-    diverged status when |h| passes 1e6."""
+    polyline. With no acceptable step above the minimum (1e-6 of the path
+    length) it stops: critical-point where |g'(h)| < 1e-8, step-floor
+    elsewhere; it stops diverged where |h| passes 1e6."""
     gf, dg = _as_inverse_pair(_outer_map(g))
     pts = [complex(p) for p in path]
     if len(pts) < 2:
@@ -440,16 +441,10 @@ def _pick_node(center: complex, eps: float, obstructions: np.ndarray,
                prev: Optional[complex]) -> complex:
     if prev is not None and abs(center - prev) <= eps / 4:
         return prev
-    scales = [0.0, eps / 8, eps / 16]
-    for scale in scales:
-        if scale == 0.0:
-            cands = [center]
-        else:
-            cands = [center + scale * cmath.exp(1j * k * math.pi / 4)
-                     for k in range(8)]
-        for w in cands:
-            if obstructions.size and float(np.min(np.abs(obstructions - w))) <= 1e-8:
-                continue
+    rings = [center + s * cmath.exp(1j * k * math.pi / 4) for s in (eps / 8, eps / 16)
+             for k in range(8)]
+    for w in [center] + rings:
+        if not (obstructions.size and float(np.min(np.abs(obstructions - w))) <= 1e-8):
             return w
     raise ConfigError("cannot place a lift node clear of the critical values; "
                       "the outer map is degenerate near the target")

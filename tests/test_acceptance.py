@@ -11,7 +11,7 @@ failing on purpose rather than loosened:
   degree-205 stage-3 correction, fit at radius 0.875, grows by orders of
   magnitude at radius 0.9375, and no polynomial under the degree cap can
   cancel that growth back down to the stage-4 budget of 0.0078: the
-  failure is bracketed by [26.89, 519.90], a certified lower bound for
+  failure is bracketed by [26.88, 519.65], a certified lower bound for
   every polynomial of degree at most 512 on the stage-4 grid and the
   best fit measured.
 * criterion 5: a constant-10 target over a hairline arc needs a jump of

@@ -370,7 +370,7 @@ def shifted_build():
 def test_shifted_build_converges_on_shifted_arcs(shifted_build):
     cfg, s = shifted_build
     assert s.succeeded and s.extras["w"] == 0.3
-    assert [rec.fit.degree for rec in s.stages] == [19, 117]
+    assert [rec.fit.degree for rec in s.stages] == [19, 116]
     for rec in s.stages:
         assert rec.fit.sup_error <= 0.5 * cfg.eps.eps[rec.n]
     for row in telescoping_errors(s):
@@ -472,8 +472,8 @@ def test_counterexample_case_two_frozen():
     assert abs(evaluate(s.total(), z_pin) - 0.3) <= cfg.eps.eps[1]
     val, arg = min_modulus_sweep(s, PHI, w)
     assert val <= budget
-    assert abs(val - 5.125037609e-3) < 1e-9
-    assert abs(budget - 0.1854819006) < 1e-9
+    assert abs(val - 5.061441195e-3) < 1e-9
+    assert abs(budget - 0.1850389088) < 1e-9
 
 
 def test_counterexample_pin_reads_target_on_the_circle():
@@ -628,8 +628,8 @@ def test_probe_scan_setup_build_does_not_depend_on_the_blas_thread_count(tmp_pat
         for t in ("1", "2")]
     assert [p.wait() for p in runs] == [0, 0]
     one, two = (json.load(open(tmp_path / f"setup{t}.json"))["stages"] for t in ("1", "2"))
-    assert [st["fit"]["degree"] for st in one] == [3, 29, 168]
-    assert [st["fit"]["degree"] for st in two] == [3, 29, 168]
+    assert [st["fit"]["degree"] for st in one] == [3, 29, 167]
+    assert [st["fit"]["degree"] for st in two] == [3, 29, 167]
     for a, b in zip(one, two):
         assert a["fit"]["sup_error"] == pytest.approx(b["fit"]["sup_error"], rel=1e-9)
 

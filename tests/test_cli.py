@@ -192,8 +192,8 @@ def test_build_counterexample_reports_budget(artifacts, capsys):
     assert "witness" in payload
     sweep = payload["sweep"]
     assert sweep["value"] <= sweep["budget"]
-    assert sweep["budget"] == pytest.approx(0.18548188997620174, rel=1e-9)
-    assert sweep["value"] == pytest.approx(0.005125039269825825, rel=1e-6)
+    assert sweep["budget"] == pytest.approx(0.18503889844288723, rel=1e-9)
+    assert sweep["value"] == pytest.approx(0.005061442959218528, rel=1e-6)
 
 
 @pytest.mark.parametrize("targets,arcs,message", [
@@ -409,13 +409,27 @@ def test_lift_polynomial_outer_map(tmp_path):
 
 def test_lift_critical_point_exits_2(tmp_path, capsys):
     out = str(tmp_path / "crit")
-    code = main(["lift", "--g", "square", "--path", "1,0:-1,0",
-                 "--start", "1,0", "--out", out])
+    code = main(["lift", "--g", "square", "--path", "1e-14,0:-1e-14,0",
+                 "--start", "1e-7,0", "--tol", "1e-14", "--out", out])
     assert code == 2
     payload = json.load(open(out + ".json"))
     assert payload["status"]["kind"] == "critical-point"
-    # the branch stalls on the way into the bad value, not at the start
-    assert abs(complex(*payload["endpoint"])) < 0.1
+    # the branch walks into the critical point 0, not stalling at the start
+    assert payload["status"]["index"] > 0
+    assert abs(complex(*payload["endpoint"])) < 5e-9
+
+
+def test_lift_step_floor_exits_5(tmp_path, capsys):
+    out = str(tmp_path / "floor")
+    code = main(["lift", "--g", "square", "--path", "1,0:-1,0",
+                 "--start", "1,0", "--out", out])
+    assert code == 5
+    payload = json.load(open(out + ".json"))
+    assert payload["status"]["kind"] == "step-floor"
+    # the branch stalls on the way into the bad value, where g' = 2h is
+    # still far above 1e-8
+    assert 1e-3 < abs(complex(*payload["endpoint"])) < 0.1
+    assert "status step-floor" in capsys.readouterr().out
 
 
 def test_lift_divergence_exits_3_with_partial(tmp_path):

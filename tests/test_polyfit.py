@@ -6,11 +6,15 @@ produced before the fitter existed and are frozen here as oracles.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import abeluniv
 from abeluniv import (
     BasisBreakdown,
     BuildConfig,
@@ -215,7 +219,7 @@ def test_least_squares_optimality_under_perturbation():
                         for c in cc.components])
     w = w / w.sum()
     assert np.array_equal(w, grid_weights(cc))
-    coeffs, _, _, _ = _Pass(pts, tgt, w).fit(12)
+    coeffs = _Pass(pts, tgt, w).fit(12)[0]
     assert len(coeffs) == 13
 
     def wrms(coeffs):
@@ -277,10 +281,13 @@ def test_grown_pass_matches_a_fresh_pass_bitwise(tol):
     grown = _Pass(pts, tgt, w)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for d in (8, 16, 32, 64, 128, 256):
-            got, want = grown.fit(d, tol), _Pass(pts, tgt, w).fit(d, tol)
+            fresh = _Pass(pts, tgt, w)
+            got, want = grown.fit(d, tol), fresh.fit(d, tol)
+            m = len(got[0]) - 1
             assert np.array_equal(got[0].view(float), want[0].view(float)), d
-            assert got[1:3] == want[1:3], d
-            assert len(got[0]) - 1 == (d if tol is None or d < 32 else 31)
+            assert (got[2], got[4]) == (want[2], want[4]), d
+            assert grown.growth(got[1], m) == fresh.growth(want[1], m), d
+            assert m == (d if tol is None or d < 32 else 31)
 
 
 @pytest.mark.parametrize("tol", [None, 1e-9])
@@ -293,10 +300,13 @@ def test_grown_pass_matches_a_fresh_pass_off_block_boundaries(tol):
     grown = _Pass(pts, tgt, w)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for d in (8, 12, 16, 20, 32, 64, 100, 128, 219, 256, 219, 100, 20, 12):
-            got, want = grown.fit(d, tol), _Pass(pts, tgt, w).fit(d, tol)
+            fresh = _Pass(pts, tgt, w)
+            got, want = grown.fit(d, tol), fresh.fit(d, tol)
+            m = len(got[0]) - 1
             assert np.array_equal(got[0].view(float), want[0].view(float)), d
-            assert got[1:3] == want[1:3], d
-            assert len(got[0]) - 1 == (d if tol is None or d < 32 else 31)
+            assert (got[2], got[4]) == (want[2], want[4]), d
+            assert grown.growth(got[1], m) == fresh.growth(want[1], m), d
+            assert m == (d if tol is None or d < 32 else 31)
 
 
 def test_blocks_pass_their_test_on_the_disc_and_arc_data():
@@ -409,13 +419,15 @@ def test_reweighted_round_matches_a_fresh_pass(tol, spread, sup_rtol, passing):
         core.fit(256)
         for d in (8, 16, 32, 64, 128, 256):
             got = core.reweighted(np.array([1.0, spread]), d, tol)
-            want = _Pass(pts, tgt, w).fit(d, tol)
-            assert len(got[0]) - 1 == len(want[0]) - 1 == (
-                d if tol is None or d < 32 else passing)
+            fresh = _Pass(pts, tgt, w)
+            want = fresh.fit(d, tol)
+            m = len(got[0]) - 1
+            assert m == len(want[0]) - 1 == (d if tol is None or d < 32 else passing)
             assert got[2] != want[2], d   # the factorization ran, not a fresh pass
             assert abs(got[2] - want[2]) <= sup_rtol * np.max(np.abs(tgt)), d
-            assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * want[1], d
-            assert got[1] == pytest.approx(want[1], rel=1e-9), d
+            growth = fresh.growth(want[1], m)
+            assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * growth, d
+            assert core.growth(got[1], m) == pytest.approx(growth, rel=1e-9), d
     assert len(core.sups) == 257
 
 
@@ -467,8 +479,10 @@ def test_weighted_residual_bounds_every_sup_from_below():
         assert len(bound) == 257 and np.all(bound <= core.sups)
         for a in ([1.0, 40.0], [300.0, 1.0]):
             for d in (8, 16, 32, 64, 128, 256):
-                _, _, sup, res = core.reweighted(np.array(a), d)
+                _, _, sup, res, low = core.reweighted(np.array(a), d)
                 assert bound[d] <= sup and bound[d] <= res.max(), (a, d)
+                # and so does the round's own residual at its own weights
+                assert math.sqrt(low) <= sup and math.sqrt(low) <= res.max(), (a, d)
 
 
 def test_gram_tiles_give_the_lower_triangle_of_the_direct_product():
@@ -618,9 +632,9 @@ def test_growth_is_the_synthesis_column_sum_at_the_returned_degree(log2_stage2_c
             m = len(got[0]) - 1
             assert lo <= m <= hi, tol
             want = np.abs(core.C[:m + 1, :m + 1] @ X[:m + 1, :m + 1].T.conj()).sum(0)
-            assert got[1] == float(want.max()), tol
+            assert core.growth(got[1], m) == float(want.max()), tol
             # columns 0..m of the whole C L^{-H} are C_m L_m^{-H} and zeros
-            assert got[1] == pytest.approx(full[:m + 1].max(), rel=1e-13), tol
+            assert core.growth(got[1], m) == pytest.approx(full[:m + 1].max(), rel=1e-13), tol
 
 
 def test_rank_deficient_gram_raises_and_leaves_the_pass_as_it_was():
@@ -661,6 +675,83 @@ def test_fit_keeps_the_best_round_when_a_reweighting_round_breaks_down(monkeypat
     want = _Pass(pts, tgt, base / base.sum()).fit(16)
     assert poly.coeffs == ComplexPolynomial(want[0]).coeffs
     assert rep.sup_error == float(want[3].max()) > full_rep.sup_error
+
+
+def _depth_8_config():
+    # the criterion-3 depth-8 build's configuration
+    return BuildConfig(RadiiSchedule.default(10), EpsilonSchedule.default(10),
+                       TargetEnumeration.cyclic(
+                           [ComplexPolynomial([0.2]), ComplexPolynomial([-0.3j])],
+                           [UnitCircleArc(0.30, 0.32), UnitCircleArc(3.60, 3.62)], 8),
+                       density=512, max_degree=512)
+
+
+def _logged_rounds(monkeypatch):
+    """From here on, (max|p(z) - y|, ||r_degree|| at the round's weights) of
+    every round, the base-weight ones and the reweighting ones, in order."""
+    log = []
+    for name in ("fit", "reweighted"):
+        def logged(self, *args, _f=getattr(polyfit._Pass, name)):
+            got = _f(self, *args)
+            log.append((float(got[3].max()), math.sqrt(got[4])))
+            return got
+        monkeypatch.setattr(polyfit._Pass, name, logged)
+    return log
+
+
+def test_rounds_end_on_a_gain_of_at_most_1e_6(monkeypatch):
+    # the depth-8 build's stage-1 fit at degree 2, from base weights: round
+    # 5 gains 2.7e-9 relative on round 4 and ends the rounds, where each
+    # round before it gained more than 1e-6. Rounds 6 and 7, which ran
+    # before this stop, moved the sup only in its last bits, so whether a
+    # change in rounding ran them or not moved the round count. No round's
+    # own weighted residual exceeds tol: the gain alone ends the rounds
+    cfg = _depth_8_config()
+    cc = union(*_membership_stage_compactum(cfg, 1, ComplexPolynomial([0j])))
+    tol = 0.5 * cfg.eps.eps[1]
+    log = _logged_rounds(monkeypatch)
+    poly, rep = fit_polynomial(cc, 2, tol=tol)
+    sups = [sup for sup, _ in log]
+    gains = [1 - b / a for a, b in zip(sups, sups[1:])]
+    assert len(sups) == 5
+    assert min(gains[:-1]) > 1e-6 >= gains[-1] > 0
+    assert all(low <= tol for _, low in log)
+    assert rep.sup_error == sups[-1] == min(sups) > tol
+    # the sup seven rounds reached, to 1e-10
+    assert rep.sup_error == pytest.approx(7.274366255533475e-02, rel=1e-10)
+
+
+def test_rounds_end_where_a_round_rules_tol_out(monkeypatch):
+    # the depth-8 build's stage-2 fit at degree 8, tol 0.03125: round 1's
+    # ||r_8||_w0 = 0.03124 lets tol be met, so round 2 runs; at its own
+    # weights, which sum to 1, ||r_8|| = 0.0381 > tol rules out every
+    # polynomial of degree 8, so the rounds end with the best fit so far,
+    # round 2's (seven rounds reached 0.0864, still far above tol)
+    cfg = _depth_8_config()
+    first = build_membership_series(cfg, 1)
+    cc = union(*_membership_stage_compactum(cfg, 2, first.total()))
+    tol = 0.5 * cfg.eps.eps[2]
+    log = _logged_rounds(monkeypatch)
+    poly, rep = fit_polynomial(cc, 8, tol=tol)
+    assert len(log) == 2
+    (sup1, low1), (sup2, low2) = log
+    assert low1 <= tol < low2 < sup2 < sup1
+    assert rep.sup_error == sup2 and rep.scales is not None
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6])
+def test_start_scales_past_the_spread_limit_fall_back_to_the_base_weight_round(
+        monkeypatch, tol):
+    # a round at start scales 1e6 apart would cost digits, so it breaks
+    # down before it reads the pass, and round 1 is the fit on the pass
+    # itself: the same rounds and bits as a fit without start
+    cc = _disc_and_arc_compactum()
+    _, _, rounds = count_passes(monkeypatch)
+    want, want_rep = fit_polynomial(cc, 32, tol=tol)
+    plain = list(rounds)
+    got, got_rep = fit_polynomial(cc, 32, tol=tol, start=(1.0, 1e6))
+    assert rounds[len(plain):] == [32] + plain
+    assert got.coeffs == want.coeffs and got_rep == want_rep
 
 
 # ------------------------------------------------------------------ fit_until
@@ -840,26 +931,45 @@ def test_fit_until_brackets_on_synthesis_free_residual(log2_stage2_compactum):
 def test_fit_until_returns_the_refit_at_the_smallest_passing_degree(
         log2_stage2_compactum, monkeypatch):
     # the step-down search ends where the fit one degree lower misses tol,
-    # and hands back the plain fit_polynomial result at the degree it found
+    # and hands back the tol-free fit_polynomial result at the degree it
+    # found. Each lower target and that refit start their rounds from the
+    # scales that won the passing fit above them
     cc = log2_stage2_compactum
     targets, _, rounds = count_passes(monkeypatch)
+    calls, fit = [], polyfit.fit_polynomial
+
+    def logged(cc, degree, **kw):
+        result = fit(cc, degree, **kw)
+        calls.append((kw, result[1]))
+        return result
+
+    monkeypatch.setattr(polyfit, "fit_polynomial", logged)
     poly, rep = fit_until(cc, 0.016, 512)
     monkeypatch.undo()
     # each step-down target stops at the lowest degree it can meet tol, so
     # the descent from 256 takes few targets. Only round 1 of each ladder
     # target grows the one base-weight pass: 6 passes, where building a
     # pass per reweighting round took 49 at 2 BLAS threads and 50 at 1.
-    # The 30 reweighting rounds at 2 threads (26 at 1) reach 6 targets
+    # The 28 reweighting rounds at 2 threads (20 at 1) reach 6 targets
     # below 256 (5 at 1); a descent of one degree per target would take
     # hundreds
     assert targets == [8, 16, 32, 64, 128, 256]
     assert len(set(rounds) - {8, 16, 32, 64, 128, 256}) <= 6
     assert rep.degree == 218
-    ref, ref_rep = fit_polynomial(cc, 218)
+    ladder, descent, (refit_kw, refit) = calls[:6], calls[6:-1], calls[-1]
+    assert all("start" not in kw for kw, _ in ladder)
+    passing = ladder[-1][1]
+    for kw, got in descent:
+        assert kw["start"] == passing.scales
+        if got.sup_error <= 0.016:
+            passing = got
+    assert descent[-1][1].degree == 217 and descent[-1][1].sup_error > 0.016
+    assert refit_kw == {"base": refit_kw["base"], "start": passing.scales}
+    assert passing.degree == refit.degree == 218 and passing.scales is not None
+    # the refit, alone on a fresh pass, gives the same bits
+    ref, ref_rep = fit_polynomial(cc, 218, start=passing.scales)
     assert poly.coeffs == ref.coeffs
-    assert rep.sup_error == ref_rep.sup_error <= 0.016
-    _, below = fit_polynomial(cc, 217)
-    assert below.sup_error > 0.016
+    assert rep.sup_error == ref_rep.sup_error <= passing.sup_error <= 0.016
 
 
 def test_fit_until_noisy_targets_cost_no_extra_passes(log2_stage2_compactum, monkeypatch):
@@ -882,7 +992,7 @@ def test_probe_scan_setup_build_pass_count(tmp_path, monkeypatch):
     # the series the probe-scan benchmark builds: only round 1 of a ladder
     # target grows a base-weight pass, 10 passes and 240 columns at 1 and 2
     # BLAS threads, where building a pass per reweighting round took 129
-    # passes and 11,442 columns; the 121 reweighting rounds build none
+    # passes and 11,442 columns; the 74 reweighting rounds build none
     targets, columns, _ = count_passes(monkeypatch)
     out = str(tmp_path / "series")
     assert cli_main(["build", "membership", "--targets", "[[[0.2,0]]]",
@@ -890,33 +1000,57 @@ def test_probe_scan_setup_build_pass_count(tmp_path, monkeypatch):
                      "--density", "512", "--max-degree", "512", "--out", out]) == 0
     monkeypatch.undo()
     stages = json.load(open(out + ".json"))["stages"]
-    assert [len(st["coeffs"]) - 1 for st in stages] == [3, 29, 168]
+    assert [len(st["coeffs"]) - 1 for st in stages] == [3, 29, 167]
     assert len(targets) <= 10
     assert sum(columns) <= 240
 
 
-def test_depth_8_build_forms_each_gram_part_once_and_refits_from_its_rounds(monkeypatch):
-    # the criterion-3 depth-8 build. A round's Gram matrix scales and adds
-    # its components' parts, each built once per width, so its 85 rounds
-    # call _gram 18 times, where forming the matrix in every round took 168.
-    # The tol-free refit at each stage's degree reads the rounds its passing
-    # fit ran at that degree, which returned the full degree, so only 77 of
-    # the rounds factor a Gram matrix, where all 84 did
-    _, _, rounds = count_passes(monkeypatch)
-    calls = {"_gram": 0, "_inverse_cholesky": 0}
-    for name in calls:
-        def counted(*args, _f=getattr(polyfit, name), _name=name):
-            calls[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(polyfit, name, counted)
-    cfg = BuildConfig(RadiiSchedule.default(10), EpsilonSchedule.default(10),
-                      TargetEnumeration.cyclic(
-                          [ComplexPolynomial([0.2]), ComplexPolynomial([-0.3j])],
-                          [UnitCircleArc(0.30, 0.32), UnitCircleArc(3.60, 3.62)], 8),
-                      density=512, max_degree=512)
-    series = build_membership_series(cfg, 8)
-    monkeypatch.undo()
-    assert [s.fit.degree for s in series.stages] == [3, 29, 205]
-    assert series.failure.n == 4
-    assert calls["_gram"] <= 20
-    assert calls["_inverse_cholesky"] < min(84, len(rounds))
+_ROUND_COUNTS = """
+import json, sys
+from abeluniv import cli, polyfit
+rounds, parts = [], []
+reweighted, gram = polyfit._Pass.reweighted, polyfit._gram
+def counted(self, a, degree, tol=None):
+    rounds.append(degree)
+    return reweighted(self, a, degree, tol)
+def counted_gram(Q, w):
+    parts.append(Q.shape[1])
+    return gram(Q, w)
+polyfit._Pass.reweighted, polyfit._gram = counted, counted_gram
+counts = {}
+for name, targets, stages in (("depth-8", "[[[0.2,0]],[[0,-0.3]]]", "8"),
+                              ("setup", "[[[0.2,0]]]", "3")):
+    rounds.clear()
+    parts.clear()
+    cli.main(["build", "membership", "--targets", targets, "--arcs", "[[0.3,0.32],[3.6,3.62]]",
+              "--stages", stages, "--density", "512", "--max-degree", "512",
+              "--out", sys.argv[1] + name])
+    stages = json.load(open(sys.argv[1] + name + ".json"))["stages"]
+    counts[name] = [len(rounds), len(parts), [len(st["coeffs"]) - 1 for st in stages]]
+print(json.dumps(counts))
+"""
+
+
+def test_round_counts_of_the_depth_8_and_probe_scan_setup_builds(tmp_path):
+    # a degree search's rounds continue one sequence: each lower target and
+    # the final refit start from the scales that won the fit above, and the
+    # rounds end on a gain of at most 1e-6 relative or where a round's own
+    # weighted residual exceeds tol. The criterion-3 depth-8 build runs 66
+    # rounds where restarting from base weights at every fit ran 85, with
+    # the same degrees, and the probe-scan setup build runs 74 where it ran
+    # 121, its stage 3 at degree 167, not 168. A round's Gram matrix scales
+    # and adds its components' parts, each built once per width: 17 parts
+    # for depth-8's 66 rounds, where forming the matrix in every round took
+    # 168, and 20 for the setup build's 74. Counts and degrees are the same
+    # at 1 and 2 BLAS threads, each count in a process of its own
+    src = os.path.dirname(os.path.dirname(abeluniv.__file__))
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", _ROUND_COUNTS, str(tmp_path / f"t{t}-")],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=t,
+                 PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])))
+        for t in ("1", "2")]
+    one, two = (json.loads(p.communicate()[0].splitlines()[-1]) for p in runs)
+    assert one == two
+    assert one["depth-8"] == [66, 17, [3, 29, 205]]
+    assert one["setup"] == [74, 20, [3, 29, 167]]

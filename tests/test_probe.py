@@ -329,13 +329,29 @@ def test_lift_principal_log():
 
 
 def test_lift_hits_critical_point():
-    # the path runs through 0, the critical value of the square; the branch
-    # walks into the vanishing derivative and stops there
-    res = lift_path(SQUARE, [1, -1], 1, 1e-8)
+    # the path runs through 0, the critical value of the square, on a scale
+    # where the steps the curvature allows stay above the minimum until the
+    # branch is within 5e-9 of 0: it walks into the vanishing derivative,
+    # |g'(h)| < 1e-8, and stops there
+    res = lift_path(SQUARE, [1e-14, -1e-14], 1e-7, 1e-14)
     assert res.status.kind == "critical-point"
     assert res.status.index > 0
-    assert abs(res.values[-1]) < 0.05
-    assert res.max_defect <= 1e-8  # recorded samples are all accepted steps
+    assert abs(2 * res.values[-1]) < 1e-8
+    assert res.max_defect <= 1e-14  # recorded samples are all accepted steps
+
+
+@pytest.mark.parametrize("tol,h", [(1e-8, 0.0030121950397398074), (1e-12, 0.2886752725963791)],
+                         ids=["1e-8", "1e-12"])
+def test_lift_step_floor_is_not_a_critical_point(tol, h):
+    # on [1, -1] the steps the curvature allows near 0 fall under the
+    # minimum (1e-6 of the path length) while |g'(h)| = 2|h| is far above
+    # 1e-8: at tol 1e-12 already at |h| = 0.289, so the stop is reported
+    # as the step floor, not as a critical point
+    res = lift_path(SQUARE, [1, -1], 1, tol)
+    assert res.status.kind == "step-floor"
+    assert res.status.index > 0
+    assert abs(res.values[-1]) == pytest.approx(h, rel=1e-9)
+    assert res.max_defect <= tol
 
 
 def test_lift_diverges_on_runaway_path():
@@ -345,9 +361,10 @@ def test_lift_diverges_on_runaway_path():
     res = lift_path(SQUARE, [start ** 2, 1.1 * start ** 2], start, 1.0)
     assert res.status.kind == "diverged"
     assert abs(res.values[-1]) > 1e6
-    # a path too steep for the relative step control stalls instead
+    # a path too steep for the relative step control stalls at its step
+    # floor instead, far from the critical point
     stuck = lift_path(SQUARE, [1, 1e13], 1, 1e-3)
-    assert stuck.status.kind == "critical-point"
+    assert stuck.status.kind == "step-floor"
 
 
 def test_lift_accepts_list_outer_and_degenerate_path():
@@ -398,9 +415,10 @@ def test_lift_steps_are_sized_from_the_midpoint_defect(monkeypatch):
 
 def test_lift_steps_stay_above_the_minimum_near_a_critical_point():
     # at this tol the curvature near the critical value 0 asks for steps
-    # below the minimum (1e-6 of the path length); the lift stops instead
+    # below the minimum (1e-6 of the path length); the lift stops instead,
+    # at |h| = 0.029, where |g'(h)| is far above 1e-8
     res = lift_path(SQUARE, [1, -1], 1, 1e-10)
-    assert res.status.kind == "critical-point"
+    assert res.status.kind == "step-floor"
     assert float(np.min(np.diff(res.t))) >= 1e-6 * (1 - 1e-9)
 
 
